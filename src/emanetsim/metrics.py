@@ -64,6 +64,15 @@ class RunSummary:
         ]
 
 
+def _jitter(recs):
+    """flow_jitter over one flow's records, given in recording order."""
+    recs = sorted(recs, key=lambda r: r.seq)
+    if len(recs) < 2:
+        return None
+    diffs = [abs(b.delay - a.delay) for a, b in zip(recs, recs[1:])]
+    return sum(diffs) / len(diffs)
+
+
 class MetricLog:
     """Measurement sink owned by one simulation run.
 
@@ -126,21 +135,19 @@ class MetricLog:
 
         Returns None for flows with fewer than two deliveries.
         """
-        recs = sorted((r for r in self.records if r.flow_id == flow_id),
-                      key=lambda r: r.seq)
-        if len(recs) < 2:
-            return None
-        diffs = [abs(b.delay - a.delay) for a, b in zip(recs, recs[1:])]
-        return sum(diffs) / len(diffs)
+        return _jitter([r for r in self.records if r.flow_id == flow_id])
 
     def summarize(self, protocol, security_mode, network_size, seed):
         if self.records:
             avg_delay = sum(r.delay for r in self.records) / len(self.records)
         else:
             avg_delay = float("nan")
+        flows = {}
+        for r in self.records:
+            flows.setdefault(r.flow_id, []).append(r)
         jitters = []
-        for flow_id in sorted({r.flow_id for r in self.records}):
-            j = self.flow_jitter(flow_id)
+        for flow_id in sorted(flows):
+            j = _jitter(flows[flow_id])
             if j is not None:
                 jitters.append(j)
         avg_jitter = sum(jitters) / len(jitters) if jitters else float("nan")

@@ -218,18 +218,11 @@ class World:
                 v.last_collision = now
             if v.air_busy_until < end:
                 v.air_busy_until = end
-            if v.pump_scheduled is False and v.queue and v.tx_busy_until <= now:
-                pass  # v defers naturally when its pump runs
 
         started_clear = {}
         for v_id in deliver_to:
             v = self.nodes[v_id]
-            started_clear[v_id] = (v.tx_busy_until <= now and v.last_collision < now
-                                   and v.air_busy_until <= end)
-        # air_busy_until was just raised to `end` for all audible nodes, so the
-        # third term is evaluated against the pre-update value via last_collision
-        # (a pre-existing longer transmission would have left air_busy_until > now
-        # and therefore set last_collision above).
+            started_clear[v_id] = v.tx_busy_until <= now and v.last_collision < now
 
         self.kernel.schedule(end, lambda: self._tx_done(node, item, deliver_to,
                                                         started_clear, now, rcv_delay),

@@ -5,8 +5,6 @@ Simplified relative to the full RFC: single interface, no link hysteresis, no
 willingness. Entries expire after three emission intervals without refresh.
 """
 
-import heapq
-
 from . import packets as pk
 
 
@@ -50,38 +48,45 @@ def select_mprs(one_hop, two_hop_map):
 
 
 def shortest_routes(self_id, one_hop, edges):
-    """Hop-count shortest paths over the known graph.
+    """Hop-count shortest paths over the known graph, by a layered BFS.
 
     edges: dict node -> iterable of adjacent nodes (need not be symmetric;
-    symmetrized here). Returns dest -> (next_hop, hops). Among equal-length
-    paths the lowest next-hop id wins.
+    symmetrized here). Returns dest -> (next_hop, hops), inserted in
+    (hops, next_hop, dest) order. Ties follow RFC 3626 section 10: among
+    equal-length paths the lowest next-hop id wins, so a node's next hop is
+    the least next hop of its neighbours in the layer before. Each layer is
+    walked in (next_hop, node) order, so the first visit already carries it.
     """
     adj = {}
-
-    def add(a, b):
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-
-    for n in one_hop:
-        add(self_id, n)
     for a, nbrs in edges.items():
+        row = adj.get(a)
+        if row is None:
+            row = adj[a] = set()
+        row.update(nbrs)
         for b in nbrs:
-            add(a, b)
+            back = adj.get(b)
+            if back is None:
+                adj[b] = {a}
+            else:
+                back.add(a)
 
+    first = set(one_hop)
+    first.discard(self_id)
+    seen = first | {self_id}
+    layer = [(n, n) for n in sorted(first)]
     routes = {}
-    settled = {self_id}
-    frontier = []
-    for n in sorted(one_hop):
-        heapq.heappush(frontier, (1, n, n))
-    while frontier:
-        hops, next_hop, node = heapq.heappop(frontier)
-        if node in settled:
-            continue
-        settled.add(node)
-        routes[node] = (next_hop, hops)
-        for nb in sorted(adj.get(node, ())):
-            if nb not in settled:
-                heapq.heappush(frontier, (hops + 1, next_hop, nb))
+    hops = 1
+    while layer:
+        nxt = []
+        for next_hop, node in layer:
+            routes[node] = (next_hop, hops)
+            for nb in adj.get(node, ()):
+                if nb not in seen:
+                    seen.add(nb)
+                    nxt.append((next_hop, nb))
+        nxt.sort()
+        layer = nxt
+        hops += 1
     return routes
 
 
@@ -105,7 +110,11 @@ class OlsrNode:
         self.msg_seq = 0
         self._tc_seen = {}
         self._routes = {}
+        # _dirty: an input of the route table changed since it was computed;
+        # _mprs_stale: one_hop or two_hop changed since the last MPR selection
         self._dirty = True
+        self._mprs_stale = True
+        # no table entry expires before this time
         self._next_expiry = float("inf")
         self.on_tc_processed = None  # hook for the adaptive layer
 
@@ -182,18 +191,27 @@ class OlsrNode:
     def process_hello(self, msg, sender):
         now = self.world.kernel.now
         expiry = now + 3.0 * self.cfg.hello_interval
-        self.one_hop[sender] = expiry
         others = set(msg.neighbor_list)
         others.discard(self.node.id)
+        # one_hop and two_hop share their keys, so this also catches a new
+        # neighbour
+        known = self.two_hop.get(sender)
+        if known is None or known[0] != others:
+            self._dirty = True
+            self._mprs_stale = True
+        self.one_hop[sender] = expiry
         self.two_hop[sender] = (others, expiry)
         if self.node.id in msg.mpr_flags:
             self.mpr_selectors[sender] = expiry
         else:
             self.mpr_selectors.pop(sender, None)
+        if expiry < self._next_expiry:
+            self._next_expiry = expiry
         self._purge()
-        self.mpr_set = select_mprs(self.one_hop,
-                                   {n: s for n, (s, _) in self.two_hop.items()})
-        self._dirty = True
+        if self._mprs_stale:
+            self.mpr_set = select_mprs(self.one_hop,
+                                       {n: s for n, (s, _) in self.two_hop.items()})
+            self._mprs_stale = False
 
     def process_tc(self, frame, sender):
         msg = frame.msg
@@ -204,9 +222,13 @@ class OlsrNode:
         if msg.sequence <= last:
             return
         self._tc_seen[msg.origin] = msg.sequence
-        self.topology[msg.origin] = (msg.advertised, msg.sequence,
-                                     now + 3.0 * self.cfg.tc_interval)
-        self._dirty = True
+        known = self.topology.get(msg.origin)
+        if known is None or known[0] != msg.advertised:
+            self._dirty = True
+        expiry = now + 3.0 * self.cfg.tc_interval
+        self.topology[msg.origin] = (msg.advertised, msg.sequence, expiry)
+        if expiry < self._next_expiry:
+            self._next_expiry = expiry
         # MPR flooding: relay only if the previous hop selected us
         if sender in self.mpr_selectors:
             relay = frame.clone_for_relay(self.node.id)
@@ -224,40 +246,39 @@ class OlsrNode:
         if now < self._next_expiry:
             return
         nxt = float("inf")
-        for table in (self.one_hop, self.mpr_selectors):
-            dead = [n for n, exp in table.items() if exp <= now]
-            for n in dead:
-                del table[n]
-                self._dirty = True
-            for exp in table.values():
-                nxt = min(nxt, exp)
-        dead = [n for n, (_, exp) in self.two_hop.items() if exp <= now]
+        # one_hop and two_hop entries share their expiry; routes never read
+        # mpr_selectors, so its expiries leave both flags alone
+        dead = [n for n, exp in self.one_hop.items() if exp <= now]
         for n in dead:
+            del self.one_hop[n]
             del self.two_hop[n]
+        if dead:
             self._dirty = True
-        for _, exp in self.two_hop.values():
+            self._mprs_stale = True
+        for exp in self.one_hop.values():
+            nxt = min(nxt, exp)
+        dead = [n for n, exp in self.mpr_selectors.items() if exp <= now]
+        for n in dead:
+            del self.mpr_selectors[n]
+        for exp in self.mpr_selectors.values():
             nxt = min(nxt, exp)
         dead = [o for o, (_, _, exp) in self.topology.items() if exp <= now]
         for o in dead:
             del self.topology[o]
+        if dead:
             self._dirty = True
         for _, _, exp in self.topology.values():
             nxt = min(nxt, exp)
         self._next_expiry = nxt
 
-    def _force_purge(self):
-        self._next_expiry = 0.0
-        self._purge()
-
     def compute_routes(self):
-        self._force_purge()
+        self._purge()
         if not self._dirty:
             return self._routes
-        edges = {}
-        for nbr, (their, _) in self.two_hop.items():
-            edges.setdefault(nbr, set()).update(their)
+        edges = {nbr: their for nbr, (their, _) in self.two_hop.items()}
         for origin, (advertised, _, _) in self.topology.items():
-            edges.setdefault(origin, set()).update(advertised)
+            their = edges.get(origin)
+            edges[origin] = advertised if their is None else their.union(advertised)
         self._routes = shortest_routes(self.node.id, self.one_hop, edges)
         self._dirty = False
         return self._routes

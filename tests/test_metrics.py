@@ -158,3 +158,27 @@ def test_csv_schema_golden():
     assert fields[0] == "cml" and fields[1] == "hybrid"
     assert fields[2] == "20" and fields[3] == "3"
     assert float(fields[4]) == pytest.approx(0.25)
+
+
+def test_summarize_jitter_over_interleaved_out_of_order_flows():
+    s = RandomStream(11).fork("flows")
+    log = MetricLog()
+    flows = [("n", i) for i in range(12)]
+    pending = [(f, seq) for f in flows for seq in range(s.randint(0, 9))]
+    s.shuffle(pending)  # flows interleave and sequence numbers arrive out of order
+    for f, seq in pending:
+        send = seq + 0.1 * f[1]
+        log.record_delivery(f, seq, send, send + s.uniform(0.001, 0.2), 1, 0.0)
+    jitters = [log.flow_jitter(f) for f in sorted(flows)]
+    jitters = [j for j in jitters if j is not None]
+    assert 0 < len(jitters) < len(flows)
+    # same values summed in the same order: equal to the last bit
+    assert log.summarize("olsr", "none", 12, 1).avg_jitter == sum(jitters) / len(jitters)
+
+
+def test_summarize_jitter_handbuilt_interleaving():
+    log = log_with([(("b", 0), 1, 1.0, 1.050), (("a", 0), 2, 2.0, 2.030),
+                    (("b", 0), 0, 0.0, 0.010), (("a", 0), 0, 0.0, 0.010),
+                    (("c", 0), 0, 0.0, 0.500), (("a", 0), 1, 1.0, 1.020)])
+    # a: |20-10|, |30-20| -> 10 ms; b: |50-10| -> 40 ms; c has one delivery
+    assert log.summarize("olsr", "none", 3, 1).avg_jitter == pytest.approx(0.025)

@@ -1,8 +1,13 @@
+import heapq
+
 import pytest
 
 from conftest import bfs_distances, chain_positions, make_world, random_graph, world_adjacency
+from emanetsim import olsr
 from emanetsim import packets as pk
+from emanetsim.config import ScenarioConfig
 from emanetsim.kernel import RandomStream
+from emanetsim.network import World
 from emanetsim.olsr import select_mprs, shortest_routes
 
 
@@ -76,6 +81,74 @@ def test_shortest_routes_match_bfs_on_seeded_graphs():
                 continue
             assert routes[dest][1] == d
         assert set(routes) == set(dist) - {0}
+
+
+def reference_shortest_routes(self_id, one_hop, edges):
+    """Heap search over the symmetrized graph: settles nodes in
+    (hops, next_hop, node) order, so the lowest next hop wins each tie."""
+    adj = {}
+
+    def add(a, b):
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+
+    for n in one_hop:
+        add(self_id, n)
+    for a, nbrs in edges.items():
+        for b in nbrs:
+            add(a, b)
+
+    routes = {}
+    settled = {self_id}
+    frontier = []
+    for n in sorted(one_hop):
+        heapq.heappush(frontier, (1, n, n))
+    while frontier:
+        hops, next_hop, node = heapq.heappop(frontier)
+        if node in settled:
+            continue
+        settled.add(node)
+        routes[node] = (next_hop, hops)
+        for nb in sorted(adj.get(node, ())):
+            if nb not in settled:
+                heapq.heappush(frontier, (hops + 1, next_hop, nb))
+    return routes
+
+
+def random_known_graph(stream):
+    """(self_id, one_hop, edges) as a node's tables could hold them: sparse
+    ids, one-way advertised sets that may name self_id, neighbours that
+    advertise nothing, and parts that no path reaches."""
+    n = stream.randint(2, 30)
+    ids = stream.sample(list(range(100)), n)
+    me = ids[0]
+    one_hop = {v: 0.0 for v in ids[1:] if stream.random() < 0.3}
+    p = stream.uniform(0.02, 0.3)
+    edges = {}
+    for a in ids:
+        if stream.random() < 0.6:
+            adv = [b for b in ids if b != a and stream.random() < p]
+            edges[a] = set(adv) if stream.random() < 0.5 else tuple(adv)
+    return me, one_hop, edges
+
+
+def test_shortest_routes_equal_reference_with_order():
+    s = RandomStream(7).fork("routes-ref")
+    seen = dict(asymmetric=0, self_advertised=0, bare_neighbour=0, unreachable=0)
+    for trial in range(300):
+        me, one_hop, edges = random_known_graph(s)
+        routes = shortest_routes(me, one_hop, edges)
+        assert list(routes.items()) == \
+            list(reference_shortest_routes(me, one_hop, edges).items()), trial
+        nodes = set(one_hop) | set(edges)
+        for a, nbrs in edges.items():
+            nodes |= set(nbrs)
+        seen["asymmetric"] += any(a not in edges.get(b, ())
+                                  for a, nbrs in edges.items() for b in nbrs)
+        seen["self_advertised"] += any(me in nbrs for nbrs in edges.values())
+        seen["bare_neighbour"] += any(not edges.get(v) for v in one_hop)
+        seen["unreachable"] += len(routes) < len(nodes - {me})
+    assert min(seen.values()) >= 20, seen
 
 
 # -- protocol behavior on worlds -------------------------------------------------
@@ -186,6 +259,36 @@ def test_route_hops_match_bfs_after_convergence():
                     assert routes[dest][1] == d, (seed, node.id, dest)
 
 
+def test_hello_omits_expired_neighbour_without_route_lookups():
+    # no data traffic, so nothing asks for a route between the HELLOs
+    world = make_world([(0.0, 0.0), (5000.0, 5000.0)], width=6000.0, height=6000.0)
+    world.setup()
+    a = olsr_of(world, 0)
+    a.process_hello(pk.HelloMsg(origin=7, neighbor_list=(), mpr_flags=frozenset()), 7)
+    sent = []
+    world.broadcast = lambda n, kind, msg, **kw: sent.append(msg)
+    world.kernel.run_until(3 * world.cfg.hello_interval - 0.5)
+    a.emit_hello()
+    assert sent[-1].neighbor_list == (7,)
+    world.kernel.run_until(3 * world.cfg.hello_interval + 0.5)
+    a.emit_hello()
+    assert sent[-1].neighbor_list == ()
+
+
+def test_tc_learnt_without_neighbours_expires_on_time():
+    # the TC entry expires before the HELLO that arrives after it
+    world = make_world([(0.0, 0.0), (5000.0, 5000.0)], width=6000.0, height=6000.0)
+    world.setup()
+    a = olsr_of(world, 0)
+    tc = pk.TcMsg(origin=5, advertised=(1,), sequence=1)
+    a.process_tc(pk.Frame(kind=pk.TC, msg=tc, sender=1), 1)
+    world.kernel.run_until(10.0)
+    a.process_hello(pk.HelloMsg(origin=1, neighbor_list=(), mpr_flags=frozenset()), 1)
+    assert a.compute_routes() == {1: (1, 1), 5: (1, 2)}
+    world.kernel.run_until(3 * world.cfg.tc_interval + 0.5)
+    assert a.compute_routes() == {1: (1, 1)}
+
+
 def test_tc_relay_economy_bounded_by_mpr_nodes():
     world = make_world(n=15, seed=4, width=700.0, height=700.0)
     converge(world, 30.0)
@@ -199,3 +302,57 @@ def test_tc_relay_economy_bounded_by_mpr_nodes():
     emitted = world.metrics.control[pk.TC].count - tx0
     # per period: each origin transmits once, relays only from MPR nodes
     assert emitted <= origins * (1 + len(mpr_nodes))
+
+
+# -- cached tables --------------------------------------------------------------
+
+def check_caches(monkeypatch, cfg):
+    """Run cfg and check, at every process_hello, that the cached MPR set is
+    what select_mprs gives on the current tables, and at every
+    compute_routes, that the cached routes are what the reference search
+    gives on edges rebuilt from the tables. Returns the call counts."""
+    counts = dict(hello=0, routes=0, reset=0)
+    process_hello = olsr.OlsrNode.process_hello
+    compute_routes = olsr.OlsrNode.compute_routes
+    reset = olsr.OlsrNode.reset
+
+    def checked_hello(node, msg, sender):
+        process_hello(node, msg, sender)
+        counts["hello"] += 1
+        two_map = {n: set(their) for n, (their, _) in node.two_hop.items()}
+        assert node.mpr_set == select_mprs(set(node.one_hop), two_map)
+
+    def checked_routes(node):
+        routes = compute_routes(node)
+        counts["routes"] += 1
+        edges = {}
+        for nbr, (their, _) in node.two_hop.items():
+            edges.setdefault(nbr, set()).update(their)
+        for origin, (advertised, _, _) in node.topology.items():
+            edges.setdefault(origin, set()).update(advertised)
+        expect = reference_shortest_routes(node.node.id, list(node.one_hop), edges)
+        assert list(routes.items()) == list(expect.items())
+        return routes
+
+    def counted_reset(node):
+        counts["reset"] += 1
+        reset(node)
+
+    monkeypatch.setattr(olsr.OlsrNode, "process_hello", checked_hello)
+    monkeypatch.setattr(olsr.OlsrNode, "compute_routes", checked_routes)
+    monkeypatch.setattr(olsr.OlsrNode, "reset", counted_reset)
+    World(cfg.validate()).run()
+    return counts
+
+
+def test_caches_match_fresh_computation_mobile(monkeypatch):
+    cfg = ScenarioConfig(protocol="olsr", n=20, seed=2, duration=120.0, warmup=20.0,
+                         v_min=2.0, v_max=8.0)
+    counts = check_caches(monkeypatch, cfg)
+    assert counts["hello"] > 1000 and counts["routes"] > 1000
+
+
+def test_caches_match_fresh_computation_across_phase_resets(monkeypatch):
+    cfg = ScenarioConfig(protocol="cml", n=20, seed=1, duration=120.0, warmup=20.0)
+    counts = check_caches(monkeypatch, cfg)
+    assert counts["reset"] > 0 and counts["hello"] > 1000 and counts["routes"] > 100
