@@ -9,39 +9,36 @@ class SchedulingError(Exception):
 
 
 class Event:
-    """A scheduled simulation action.
+    """A scheduled simulation action, and the handle `schedule` returns.
 
-    Events are ordered by (fire_time, sequence); the sequence counter makes
-    the order total and gives FIFO behavior among equal fire times.
+    The kernel's heap holds (fire_time, sequence, event) tuples rather than
+    events. The sequence number is unique per kernel, so tuple comparison
+    orders entries by fire time, FIFO among equal fire times, in C, and never
+    compares two events. fn is None once the event is dispatched or cancelled.
     """
 
-    __slots__ = ("fire_time", "sequence", "kind", "node", "detail", "fn", "cancelled")
+    __slots__ = ("fire_time", "kind", "node", "detail", "fn")
 
-    def __init__(self, fire_time, sequence, kind, node, detail, fn):
+    def __init__(self, fire_time, kind, node, detail, fn):
         self.fire_time = fire_time
-        self.sequence = sequence
         self.kind = kind
         self.node = node
         self.detail = detail
         self.fn = fn
-        self.cancelled = False
-
-    def __lt__(self, other):
-        if self.fire_time != other.fire_time:
-            return self.fire_time < other.fire_time
-        return self.sequence < other.sequence
 
 
 class EventKernel:
     """Single-threaded event loop owning the simulated clock.
 
-    One kernel per simulation run; independent runs share nothing.
+    One kernel per simulation run; independent runs share nothing. Events
+    wait in a binary heap of (fire_time, sequence, event) tuples, the
+    sequence being the count of events scheduled before; a cancelled event
+    stays in the heap and is skipped when it comes to the top.
     """
 
     def __init__(self, trace=None):
         self.now = 0.0
         self._queue = []
-        self._seq = 0
         self.scheduled = 0
         self.dispatched = 0
         self.cancelled = 0
@@ -56,10 +53,9 @@ class EventKernel:
         if fire_time < self.now:
             raise SchedulingError(
                 f"cannot schedule at t={fire_time} before now={self.now}")
-        ev = Event(fire_time, self._seq, kind, node, detail, fn)
-        self._seq += 1
+        ev = Event(fire_time, kind, node, detail, fn)
+        heapq.heappush(self._queue, (fire_time, self.scheduled, ev))
         self.scheduled += 1
-        heapq.heappush(self._queue, ev)
         return ev
 
     def schedule_in(self, delay, fn, kind="timer", node=-1, detail=""):
@@ -67,33 +63,37 @@ class EventKernel:
 
     def cancel(self, ev):
         """Cancel an unfired event. Returns True iff the event will now never fire."""
-        if ev is None or ev.cancelled or ev.fn is None:
+        if ev is None or ev.fn is None:
             return False
-        ev.cancelled = True
         ev.fn = None
         self.cancelled += 1
         return True
 
     def run_until(self, t_end):
-        """Dispatch every event with fire_time <= t_end; leaves now == t_end."""
+        """Dispatch every event with fire_time <= t_end; leaves now == t_end.
+
+        Each dispatched event writes one line, without its newline, to the
+        trace callable when one is set.
+        """
         if t_end < self.now:
             raise SchedulingError(f"run_until({t_end}) before now={self.now}")
-        count = 0
+        before = self.dispatched
         queue = self._queue
-        while queue and queue[0].fire_time <= t_end:
-            ev = heapq.heappop(queue)
-            if ev.cancelled:
-                continue
-            self.now = ev.fire_time
+        pop = heapq.heappop
+        trace = self.trace
+        while queue and queue[0][0] <= t_end:
+            fire_time, _, ev = pop(queue)
             fn = ev.fn
+            if fn is None:
+                continue
             ev.fn = None
+            self.now = fire_time
             self.dispatched += 1
-            count += 1
-            if self.trace is not None:
-                self.trace(f"{ev.fire_time:.9f}\t{ev.node}\t{ev.kind}\t{ev.detail}")
+            if trace is not None:
+                trace(f"{fire_time:.9f}\t{ev.node}\t{ev.kind}\t{ev.detail}")
             fn()
         self.now = t_end
-        return count
+        return self.dispatched - before
 
 
 class RandomStream:

@@ -188,11 +188,6 @@ def summary_csv_text(rows):
     return buf.getvalue()
 
 
-def mean(values):
-    values = list(values)
-    return sum(values) / len(values) if values else float("nan")
-
-
 def cumulate(series):
     """Running prefix sums of a per-size metric series.
 

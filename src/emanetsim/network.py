@@ -203,7 +203,7 @@ class World:
         end = now + duration
 
         self._count_tx(frame)
-        if frame.kind == pk.DATA and frame.msg.crypto_delay is not None:
+        if frame.kind == pk.DATA:
             frame.msg.crypto_delay += snd_delay
 
         node.tx_busy_until = end
@@ -271,7 +271,7 @@ class World:
         duration = snd_delay + \
             (frame.wire_bytes + cfg.mac_overhead_bytes) * 8.0 / cfg.bandwidth_bps
         self._count_tx(frame)
-        if frame.kind == pk.DATA and frame.msg.crypto_delay is not None:
+        if frame.kind == pk.DATA:
             frame.msg.crypto_delay += snd_delay
         audible = self.neighbors(node.id)
         deliver_to = audible if frame.receiver is None else \
@@ -297,7 +297,7 @@ class World:
         if not sec.accept_packet(frame, self.cfg.security_mode):
             self.metrics.rejected_packets += 1
             return
-        if frame.kind == pk.DATA and frame.msg.crypto_delay is not None:
+        if frame.kind == pk.DATA:
             frame.msg.crypto_delay += rcv_delay
         node.driver.on_frame(frame, frame.sender)
 
@@ -324,32 +324,25 @@ class World:
         cfg = self.cfg
         if cfg.traffic_rate <= 0:
             return
-        tstream = self.root_stream.fork("traffic")
-        if cfg.traffic_pattern == "per-node-churn":
-            sources = [n.id for n in self.nodes]
-        else:
-            sources = []
-            n_flows = min(cfg.traffic_flows, cfg.n * (cfg.n - 1))
-            for _ in range(n_flows):
-                sources.append(None)  # placeholder; pairs drawn below
         period = 1.0 / cfg.traffic_rate
         if cfg.traffic_pattern == "per-node-churn":
-            for src in sources:
-                fstream = self.root_stream.fork(f"flow{src}")
+            for node in self.nodes:
+                fstream = self.root_stream.fork(f"flow{node.id}")
                 start = cfg.traffic_start + fstream.uniform(0.0, period)
-                self._new_epoch(src, 0, fstream, start)
-        else:
-            ids = [n.id for n in self.nodes]
-            for f in range(len(sources)):
-                src = tstream.choice(ids)
-                dst = tstream.choice([i for i in ids if i != src])
-                fstream = self.root_stream.fork(f"flow{f}")
-                start = cfg.traffic_start + fstream.uniform(0.0, period)
-                flow_id = (f, 0)
-                self.flows[flow_id] = {"src": src, "dst": dst, "seq": 0}
-                self.kernel.schedule(start, lambda fid=flow_id, fs=fstream:
-                                     self._send_tick(fid, fs),
-                                     kind="traffic-send", node=src)
+                self._new_epoch(node.id, 0, fstream, start)
+            return
+        tstream = self.root_stream.fork("traffic")
+        ids = [n.id for n in self.nodes]
+        for f in range(min(cfg.traffic_flows, cfg.n * (cfg.n - 1))):
+            src = tstream.choice(ids)
+            dst = tstream.choice([i for i in ids if i != src])
+            fstream = self.root_stream.fork(f"flow{f}")
+            start = cfg.traffic_start + fstream.uniform(0.0, period)
+            flow_id = (f, 0)
+            self.flows[flow_id] = {"src": src, "dst": dst, "seq": 0}
+            self.kernel.schedule(start, lambda fid=flow_id, fs=fstream:
+                                 self._send_tick(fid, fs),
+                                 kind="traffic-send", node=src)
 
     def _new_epoch(self, src, epoch, fstream, when):
         """Per-node-churn pattern: re-draw the destination each epoch."""

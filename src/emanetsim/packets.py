@@ -25,7 +25,6 @@ CP = "cp"
 HCREQ = "hcreq"
 HCREP = "hcrep"
 
-CONTROL_KINDS = (HELLO, TC, RREQ, RREP, DSR_RREQ, DSR_RREP, DSR_RERR, CP, HCREQ, HCREP)
 # Source-route header bytes on DSR data packets are charged to routing load
 # under this pseudo-kind (bytes only, no packet count).
 DSR_SR_HEADER = "dsr-sr-header"

@@ -5,8 +5,6 @@ from .cml import CmlNode
 from .dsr import DsrNode
 from .olsr import OlsrNode
 
-PROTOCOLS = ("olsr", "aodv", "dsr", "cml")
-
 _DRIVERS = {
     "olsr": OlsrNode,
     "aodv": AodvNode,

@@ -27,31 +27,39 @@ def run_scenario(cfg, out_dir=None, run_name=None):
 
     With out_dir set, writes <name>/transitions.log, <name>/manifest.ini and,
     when tracing is on, <name>/trace.log, and appends the summary row to
-    out_dir/summary.csv (creating it with the header when absent).
+    out_dir/summary.csv (creating it with the header when absent). trace.log
+    is written line by line as events fire, so a run that raises leaves the
+    lines up to the failure. Without out_dir no trace is formatted.
     """
-    trace_lines = []
-    world = build_world(cfg, trace_sink=trace_lines.append)
-    summary = world.run()
-    if out_dir is not None:
-        name = run_name or f"{cfg.protocol}_{cfg.security_mode}_n{cfg.n}_s{cfg.seed}"
-        run_dir = os.path.join(out_dir, name)
-        os.makedirs(run_dir, exist_ok=True)
-        with open(os.path.join(run_dir, "transitions.log"), "w") as fh:
-            for line in world.transitions:
-                fh.write(line + "\n")
-        with open(os.path.join(run_dir, "manifest.ini"), "w") as fh:
-            fh.write(dump_config(cfg))
-        if cfg.trace:
-            with open(os.path.join(run_dir, "trace.log"), "w") as fh:
-                for line in trace_lines:
-                    fh.write(line + "\n")
-        summary_path = os.path.join(out_dir, "summary.csv")
-        new = not os.path.exists(summary_path)
-        with open(summary_path, "a", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            if new:
-                w.writerow(mt.CSV_HEADER)
-            w.writerow(summary.csv_row())
+    if out_dir is None:
+        world = build_world(cfg)
+        return world.run(), world
+    name = run_name or f"{cfg.protocol}_{cfg.security_mode}_n{cfg.n}_s{cfg.seed}"
+    run_dir = os.path.join(out_dir, name)
+    os.makedirs(run_dir, exist_ok=True)
+    trace_fh = open(os.path.join(run_dir, "trace.log"), "w") if cfg.trace else None
+    try:
+        sink = None
+        if trace_fh is not None:
+            def sink(line, write=trace_fh.write):
+                write(line + "\n")
+        world = build_world(cfg, trace_sink=sink)
+        summary = world.run()
+    finally:
+        if trace_fh is not None:
+            trace_fh.close()
+    with open(os.path.join(run_dir, "transitions.log"), "w") as fh:
+        for line in world.transitions:
+            fh.write(line + "\n")
+    with open(os.path.join(run_dir, "manifest.ini"), "w") as fh:
+        fh.write(dump_config(cfg))
+    summary_path = os.path.join(out_dir, "summary.csv")
+    new = not os.path.exists(summary_path)
+    with open(summary_path, "a", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        if new:
+            w.writerow(mt.CSV_HEADER)
+        w.writerow(summary.csv_row())
     return summary, world
 
 
@@ -68,7 +76,9 @@ def run_cells(cells, parallel=1):
     byte-identical regardless of parallelism.
     """
     if parallel > 1 and len(cells) > 1:
-        with get_context("fork").Pool(parallel) as pool:
+        # A fresh worker per cell: a reused worker's resident peak would
+        # build up over whichever cells it happened to draw.
+        with get_context("fork").Pool(parallel, maxtasksperchild=1) as pool:
             return pool.map(_run_cell, cells, chunksize=1)
     return [_run_cell(c) for c in cells]
 

@@ -19,13 +19,12 @@ AH_SPACE_BYTES = 24
 ESP_SPACE_BYTES = 10
 
 # Per-block HMAC-MD5 operation counts and AES per-packet cycle counts for a
-# 128-bit key. Alternative cipher profiles are kept for configuration only.
+# 128-bit key.
 HMAC_MD5_INIT_OPS = 32
 HMAC_MD5_PER_BLOCK_OPS = 744
 HMAC_MD5_EXTRA_OPS = 2
 AES128_ENC_CYCLES = 6168
 AES128_DEC_CYCLES = 10992
-ALT_CIPHER_CYCLES = {"des": 2697, "3des": 8091, "aes192": 7512, "aes256": 8856}
 
 MD5_BLOCK_BITS = 512
 

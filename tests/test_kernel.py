@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emanetsim.kernel import EventKernel, RandomStream, SchedulingError
 
@@ -96,6 +98,60 @@ def test_trace_lines_sorted_by_time():
     times = [float(line.split("\t")[0]) for line in lines]
     assert times == sorted(times)
     assert lines[0].split("\t")[1:] == ["4", "timer", "x"]
+
+
+# One event scheduled before the first step: its fire time in quarter units
+# (so that times collide), the delays in quarter units of the events its
+# handler schedules (0 is "now"), and the event indices it cancels.
+EVENT_PLAN = st.tuples(st.integers(0, 6),
+                       st.lists(st.integers(0, 2), max_size=2),
+                       st.lists(st.integers(0, 30), max_size=2))
+# One run_until step: how far it advances in half units, and the event
+# indices cancelled just before it, whether they fired already or not.
+STEP_PLAN = st.tuples(st.integers(0, 3), st.lists(st.integers(0, 30), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(plans=st.lists(EVENT_PLAN, min_size=1, max_size=20),
+       steps=st.lists(STEP_PLAN, min_size=1, max_size=4))
+def test_dispatch_order_is_sorted_schedule_without_cancelled(plans, steps):
+    lines = []
+    k = EventKernel(trace=lines.append)
+    handles, keys, fired, cancelled = [], [], [], set()
+
+    def cancel(i):
+        if i < len(handles) and k.cancel(handles[i]):
+            assert i not in fired
+            cancelled.add(i)
+
+    def add(t, children=(), cancels=()):
+        i = len(handles)
+
+        def fire():
+            fired.append(i)
+            for d in children:
+                add(k.now + d / 4)
+            for j in cancels:
+                cancel(j)
+
+        keys.append((t, i))
+        handles.append(k.schedule(t, fire, kind="ev", node=i, detail=str(len(children))))
+
+    for t, children, cancels in plans:
+        add(t / 4, children, cancels)
+    t_end = 0.0
+    for advance, cancels in steps:
+        for j in cancels:
+            cancel(j)
+        t_end += advance / 2
+        k.run_until(t_end)
+        assert fired == [i for _, i in sorted(keys)
+                         if i not in cancelled and keys[i][0] <= t_end]
+        assert k.dispatched + k.cancelled + k.pending == k.scheduled
+        assert (k.scheduled, k.dispatched, k.cancelled) == \
+            (len(keys), len(fired), len(cancelled))
+        assert lines == [f"{keys[i][0]:.9f}\t{i}\tev\t{handles[i].detail}"
+                         for i in fired]
 
 
 def test_random_stream_reproducible():

@@ -4,6 +4,7 @@ import pytest
 
 from emanetsim.config import ScenarioConfig, SweepSpec
 from emanetsim.metrics import CSV_HEADER
+from emanetsim.network import World
 from emanetsim.runner import (calibrate_k, graph_diameter, run_cells,
                               run_scenario, run_sweep, seed_means,
                               static_connected_world)
@@ -27,6 +28,44 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert csv_text.splitlines()[0] == ",".join(CSV_HEADER)
     assert len(csv_text.splitlines()) == 2
     assert "protocol = cml" in (run_dir / "manifest.ini").read_text()
+
+
+def test_streamed_trace_matches_world_trace(tmp_path):
+    cfg = small_cfg(protocol="cml", n=8, trace=True)
+    lines = []
+    World(cfg, trace=lines.append).run()
+    summary, world = run_scenario(cfg, out_dir=str(tmp_path), run_name="run")
+    text = (tmp_path / "run" / "trace.log").read_text()
+    assert text == "".join(line + "\n" for line in lines)
+    assert text.count("\n") == world.kernel.dispatched
+
+
+def test_run_without_out_dir_formats_no_trace():
+    summary, world = run_scenario(small_cfg(trace=True))
+    assert world.kernel.trace is None
+    assert world.kernel.dispatched > 0
+
+
+def test_run_that_raises_leaves_partial_trace(tmp_path, monkeypatch):
+    cfg = small_cfg(protocol="cml", n=8, trace=True)
+    lines = []
+    World(cfg, trace=lines.append).run()
+    receive = World._receive
+    calls = []
+
+    def failing_receive(world, *args):
+        calls.append(1)
+        if len(calls) == 50:
+            raise RuntimeError("handler failed")
+        return receive(world, *args)
+
+    monkeypatch.setattr(World, "_receive", failing_receive)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        run_scenario(cfg, out_dir=str(tmp_path), run_name="run")
+    partial = (tmp_path / "run" / "trace.log").read_text().splitlines()
+    assert 0 < len(partial) < len(lines)
+    assert partial == lines[:len(partial)]
+    assert partial[-1].split("\t")[2] == "rx"
 
 
 def test_same_config_twice_identical_outputs(tmp_path):
