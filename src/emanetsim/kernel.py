@@ -8,32 +8,17 @@ class SchedulingError(Exception):
     """Raised when an event is scheduled in the past."""
 
 
-class Event:
-    """A scheduled simulation action, and the handle `schedule` returns.
-
-    The kernel's heap holds (fire_time, sequence, event) tuples rather than
-    events. The sequence number is unique per kernel, so tuple comparison
-    orders entries by fire time, FIFO among equal fire times, in C, and never
-    compares two events. fn is None once the event is dispatched or cancelled.
-    """
-
-    __slots__ = ("fire_time", "kind", "node", "detail", "fn")
-
-    def __init__(self, fire_time, kind, node, detail, fn):
-        self.fire_time = fire_time
-        self.kind = kind
-        self.node = node
-        self.detail = detail
-        self.fn = fn
-
-
 class EventKernel:
     """Single-threaded event loop owning the simulated clock.
 
     One kernel per simulation run; independent runs share nothing. Events
-    wait in a binary heap of (fire_time, sequence, event) tuples, the
-    sequence being the count of events scheduled before; a cancelled event
-    stays in the heap and is skipped when it comes to the top.
+    wait in a binary heap of entries [fire_time, seq, fn, node, kind,
+    detail], where seq is the count of events scheduled before. seq is
+    unique, so list comparison orders entries by fire time, FIFO among equal
+    fire times, in C, and never reaches fn. The entry is also the handle
+    `schedule` returns: its fn slot is None once the event is dispatched or
+    cancelled, and a cancelled entry stays in the heap and is skipped when it
+    comes to the top.
     """
 
     def __init__(self, trace=None):
@@ -49,23 +34,24 @@ class EventKernel:
         return self.scheduled - self.dispatched - self.cancelled
 
     def schedule(self, fire_time, fn, kind="timer", node=-1, detail=""):
-        """Enqueue fn to run at fire_time; returns a cancellable Event handle."""
+        """Enqueue fn to run at fire_time; returns the entry as a handle for
+        `cancel`."""
         if fire_time < self.now:
             raise SchedulingError(
                 f"cannot schedule at t={fire_time} before now={self.now}")
-        ev = Event(fire_time, kind, node, detail, fn)
-        heapq.heappush(self._queue, (fire_time, self.scheduled, ev))
+        entry = [fire_time, self.scheduled, fn, node, kind, detail]
+        heapq.heappush(self._queue, entry)
         self.scheduled += 1
-        return ev
+        return entry
 
     def schedule_in(self, delay, fn, kind="timer", node=-1, detail=""):
         return self.schedule(self.now + delay, fn, kind, node, detail)
 
-    def cancel(self, ev):
+    def cancel(self, entry):
         """Cancel an unfired event. Returns True iff the event will now never fire."""
-        if ev is None or ev.fn is None:
+        if entry is None or entry[2] is None:
             return False
-        ev.fn = None
+        entry[2] = None
         self.cancelled += 1
         return True
 
@@ -73,7 +59,8 @@ class EventKernel:
         """Dispatch every event with fire_time <= t_end; leaves now == t_end.
 
         Each dispatched event writes one line, without its newline, to the
-        trace callable when one is set.
+        trace callable when one is set. The timestamp is formatted once for
+        each run of equal fire times.
         """
         if t_end < self.now:
             raise SchedulingError(f"run_until({t_end}) before now={self.now}")
@@ -81,16 +68,20 @@ class EventKernel:
         queue = self._queue
         pop = heapq.heappop
         trace = self.trace
+        stamp_time = stamp = None
         while queue and queue[0][0] <= t_end:
-            fire_time, _, ev = pop(queue)
-            fn = ev.fn
+            entry = pop(queue)
+            fire_time, _, fn, node, kind, detail = entry
             if fn is None:
                 continue
-            ev.fn = None
+            entry[2] = None
             self.now = fire_time
             self.dispatched += 1
             if trace is not None:
-                trace(f"{fire_time:.9f}\t{ev.node}\t{ev.kind}\t{ev.detail}")
+                if fire_time != stamp_time:
+                    stamp_time = fire_time
+                    stamp = f"{fire_time:.9f}"
+                trace(f"{stamp}\t{node}\t{kind}\t{detail}")
             fn()
         self.now = t_end
         return self.dispatched - before

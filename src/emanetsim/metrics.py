@@ -88,6 +88,7 @@ class MetricLog:
         self.control = {}
         self.data_sent = 0
         self.data_dropped = 0
+        self.drops_by_reason = {}  # reason -> post-warmup drops
         self.crypto_delay_total = 0.0
         self.rejected_packets = 0
         self.adversary_injected = 0
@@ -97,9 +98,10 @@ class MetricLog:
         if send_time >= self.warmup:
             self.data_sent += 1
 
-    def note_data_dropped(self, send_time):
+    def note_data_dropped(self, send_time, reason):
         if send_time >= self.warmup:
             self.data_dropped += 1
+            self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
 
     def record_delivery(self, flow_id, seq, send_time, recv_time, hops, crypto_delay):
         if recv_time < send_time:

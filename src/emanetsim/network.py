@@ -18,6 +18,7 @@ delay.
 """
 
 from collections import deque
+from functools import partial
 
 from . import mobility as mob
 from . import packets as pk
@@ -52,6 +53,7 @@ class Node:
         self.air_busy_until = 0.0     # latest end of transmissions audible here
         self.last_collision = -1.0    # last instant two transmissions overlapped here
         self.pump_scheduled = False
+        self.pump_event = None        # the pump callback, made once by World
 
 
 class World:
@@ -84,6 +86,12 @@ class World:
 
         self._neighbors = {}
         self.refresh_links()
+
+        # (wire size, security mode) -> apply_security's cost triple
+        self._crypto_costs = {}
+        self._authenticates = sec.authenticates(cfg.security_mode)
+        for node in self.nodes:
+            node.pump_event = partial(self._pump_event, node)
 
         self.flows = {}
         self._ready = False
@@ -147,8 +155,7 @@ class World:
     def _schedule_pump(self, node, at):
         if not node.pump_scheduled:
             node.pump_scheduled = True
-            self.kernel.schedule(at, lambda: self._pump_event(node),
-                                 kind="pump", node=node.id)
+            self.kernel.schedule(at, node.pump_event, kind="pump", node=node.id)
 
     def _pump_event(self, node):
         node.pump_scheduled = False
@@ -162,7 +169,7 @@ class World:
         item = node.queue[0]
         if cfg.ideal_channel:
             node.queue.popleft()
-            self._transmit_ideal(node, item.frame)
+            self._transmit(node, item)
             if node.queue:
                 self._schedule_pump(node, now)
             return
@@ -177,67 +184,75 @@ class World:
             return
         self._transmit(node, item)
 
-    def _crypto(self, frame):
-        delta, snd, rcv = sec.apply_security(frame.msg.wire_size(),
-                                             frame.sec_mode, self.cfg.device)
-        return delta, snd, rcv
+    def _transmit(self, node, item):
+        """Put item's frame on the air. On the contended channel one tx-end
+        event settles every receiver; on the ideal channel each receiver gets
+        its own tx-end event and a unicast to a non-neighbour is dropped."""
+        cfg = self.cfg
+        kernel = self.kernel
+        now = kernel.now
+        frame = item.frame
+        msg = frame.msg
+        size = msg.wire_size()
+        cost_key = (size, frame.sec_mode)
+        cost = self._crypto_costs.get(cost_key)
+        if cost is None:
+            cost = self._crypto_costs[cost_key] = sec.apply_security(
+                size, frame.sec_mode, cfg.device)
+        delta, snd_delay, rcv_delay = cost
+        frame.wire_bytes = size + delta
+        airtime = (frame.wire_bytes + cfg.mac_overhead_bytes) * 8.0 / cfg.bandwidth_bps
 
-    def _count_tx(self, frame):
-        now = self.kernel.now
         if frame.kind == pk.DATA:
-            sr = frame.msg.source_route
+            sr = msg.source_route
             if sr is not None:
                 self.metrics.count_control(pk.DSR_SR_HEADER, pk.ID_BYTES * len(sr),
                                            now, count_packet=False)
+            msg.crypto_delay += snd_delay
         else:
             self.metrics.count_control(frame.kind, frame.wire_bytes, now)
 
-    def _transmit(self, node, item):
-        cfg = self.cfg
-        now = self.kernel.now
-        frame = item.frame
-        delta, snd_delay, rcv_delay = self._crypto(frame)
-        frame.wire_bytes = frame.msg.wire_size() + delta
-        duration = snd_delay + cfg.difs + \
-            (frame.wire_bytes + cfg.mac_overhead_bytes) * 8.0 / cfg.bandwidth_bps
-        end = now + duration
+        audible = self._neighbors.get(node.id, ())
+        receiver = frame.receiver
+        deliver_to = audible if receiver is None else \
+            ([receiver] if receiver in audible else [])
 
-        self._count_tx(frame)
-        if frame.kind == pk.DATA:
-            frame.msg.crypto_delay += snd_delay
+        if cfg.ideal_channel:
+            end = now + (snd_delay + airtime)
+            for v_id in deliver_to:
+                kernel.schedule(end, lambda v=v_id: self._schedule_reception(v, frame, rcv_delay),
+                                kind="tx-end", node=node.id, detail=frame.kind)
+            if receiver is not None and not deliver_to and frame.kind == pk.DATA:
+                self.data_dropped(msg, "no-link")
+            return
 
+        end = now + (snd_delay + cfg.difs + airtime)
         node.tx_busy_until = end
         node.last_tx_start = now
-
-        audible = self.neighbors(node.id)
-        deliver_to = audible if frame.receiver is None else \
-            ([frame.receiver] if frame.receiver in audible else [])
+        nodes = self.nodes
         for v_id in audible:
-            v = self.nodes[v_id]
+            v = nodes[v_id]
             if v.air_busy_until > now:
                 v.last_collision = now
             if v.air_busy_until < end:
                 v.air_busy_until = end
+        started_clear = [v.tx_busy_until <= now and v.last_collision < now
+                         for v in map(nodes.__getitem__, deliver_to)]
 
-        started_clear = {}
-        for v_id in deliver_to:
-            v = self.nodes[v_id]
-            started_clear[v_id] = v.tx_busy_until <= now and v.last_collision < now
-
-        self.kernel.schedule(end, lambda: self._tx_done(node, item, deliver_to,
-                                                        started_clear, now, rcv_delay),
-                             kind="tx-end", node=node.id, detail=frame.kind)
+        kernel.schedule(end, lambda: self._tx_done(node, item, deliver_to,
+                                                   started_clear, now, rcv_delay),
+                        kind="tx-end", node=node.id, detail=frame.kind)
 
     def _tx_done(self, node, item, deliver_to, started_clear, t_start, rcv_delay):
         cfg = self.cfg
         now = self.kernel.now
         frame = item.frame
+        nodes = self.nodes
         ok_receivers = []
-        for v_id in deliver_to:
-            v = self.nodes[v_id]
-            ok = (v.active and started_clear[v_id]
-                  and v.last_collision < t_start and v.last_tx_start < t_start)
-            if ok:
+        for v_id, clear in zip(deliver_to, started_clear):
+            v = nodes[v_id]
+            if (clear and v.active
+                    and v.last_collision < t_start and v.last_tx_start < t_start):
                 ok_receivers.append(v_id)
 
         if frame.receiver is not None and not ok_receivers:
@@ -263,26 +278,6 @@ class World:
         if node.queue:
             self._schedule_pump(node, now)
 
-    def _transmit_ideal(self, node, item_frame):
-        cfg = self.cfg
-        frame = item_frame
-        delta, snd_delay, rcv_delay = self._crypto(frame)
-        frame.wire_bytes = frame.msg.wire_size() + delta
-        duration = snd_delay + \
-            (frame.wire_bytes + cfg.mac_overhead_bytes) * 8.0 / cfg.bandwidth_bps
-        self._count_tx(frame)
-        if frame.kind == pk.DATA:
-            frame.msg.crypto_delay += snd_delay
-        audible = self.neighbors(node.id)
-        deliver_to = audible if frame.receiver is None else \
-            ([frame.receiver] if frame.receiver in audible else [])
-        end = self.kernel.now + duration
-        for v_id in deliver_to:
-            self.kernel.schedule(end, lambda v=v_id: self._schedule_reception(v, frame, rcv_delay),
-                                 kind="tx-end", node=node.id, detail=frame.kind)
-        if frame.receiver is not None and not deliver_to and frame.kind == pk.DATA:
-            self.data_dropped(frame.msg, "no-link")
-
     def _schedule_reception(self, v_id, frame, rcv_delay):
         v = self.nodes[v_id]
         if not v.active:
@@ -294,7 +289,7 @@ class World:
     def _receive(self, node, frame, rcv_delay):
         if not node.active:
             return
-        if not sec.accept_packet(frame, self.cfg.security_mode):
+        if self._authenticates and not sec.accept_packet(frame, self.cfg.security_mode):
             self.metrics.rejected_packets += 1
             return
         if frame.kind == pk.DATA:
@@ -308,7 +303,7 @@ class World:
                                      self.kernel.now, msg.hops, msg.crypto_delay)
 
     def data_dropped(self, msg, reason):
-        self.metrics.note_data_dropped(msg.send_time)
+        self.metrics.note_data_dropped(msg.send_time, reason)
 
     def log_transition(self, node_id, frm, to, trigger):
         self.transitions.append(

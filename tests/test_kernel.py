@@ -62,6 +62,19 @@ def test_cancel_semantics():
     assert k.cancel(ev2) is False  # already dispatched
 
 
+def test_cancel_of_spent_handle_leaves_counters_alone():
+    k = EventKernel()
+    dispatched = k.schedule(1.0, lambda: None)
+    cancelled = k.schedule(2.0, lambda: None)
+    assert k.cancel(cancelled) is True
+    k.run_until(3.0)
+    counters = (k.scheduled, k.dispatched, k.cancelled, k.pending)
+    assert counters == (2, 1, 1, 0)
+    assert k.cancel(dispatched) is False
+    assert k.cancel(cancelled) is False
+    assert (k.scheduled, k.dispatched, k.cancelled, k.pending) == counters
+
+
 def test_handler_may_schedule_more_events():
     k = EventKernel()
     fired = []
@@ -117,7 +130,7 @@ STEP_PLAN = st.tuples(st.integers(0, 3), st.lists(st.integers(0, 30), max_size=3
 def test_dispatch_order_is_sorted_schedule_without_cancelled(plans, steps):
     lines = []
     k = EventKernel(trace=lines.append)
-    handles, keys, fired, cancelled = [], [], [], set()
+    handles, keys, details, fired, cancelled = [], [], [], [], set()
 
     def cancel(i):
         if i < len(handles) and k.cancel(handles[i]):
@@ -135,7 +148,8 @@ def test_dispatch_order_is_sorted_schedule_without_cancelled(plans, steps):
                 cancel(j)
 
         keys.append((t, i))
-        handles.append(k.schedule(t, fire, kind="ev", node=i, detail=str(len(children))))
+        details.append(str(len(children)))
+        handles.append(k.schedule(t, fire, kind="ev", node=i, detail=details[i]))
 
     for t, children, cancels in plans:
         add(t / 4, children, cancels)
@@ -150,7 +164,7 @@ def test_dispatch_order_is_sorted_schedule_without_cancelled(plans, steps):
         assert k.dispatched + k.cancelled + k.pending == k.scheduled
         assert (k.scheduled, k.dispatched, k.cancelled) == \
             (len(keys), len(fired), len(cancelled))
-        assert lines == [f"{keys[i][0]:.9f}\t{i}\tev\t{handles[i].detail}"
+        assert lines == [f"{keys[i][0]:.9f}\t{i}\tev\t{details[i]}"
                          for i in fired]
 
 

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from emanetsim.config import ScenarioConfig
 from emanetsim.kernel import RandomStream
 from emanetsim.metrics import (CSV_HEADER, MetricLog, cumulate,
                                cumulative_rows, summary_csv_text)
+from emanetsim.network import World
 
 
 def log_with(deliveries, warmup=0.0):
@@ -23,6 +25,27 @@ def test_single_delivery_mean():
 def test_two_delivery_mean():
     log = log_with([(("f", 0), 0, 1.0, 1.02), (("f", 0), 1, 2.0, 2.04)])
     assert log.summarize("olsr", "none", 5, 1).avg_delay == pytest.approx(0.03)
+
+
+def test_drops_counted_by_reason_after_warmup():
+    log = MetricLog(warmup=10.0)
+    log.note_data_dropped(9.0, "no-route")
+    log.note_data_dropped(10.0, "no-route")
+    log.note_data_dropped(11.0, "buffer-full")
+    log.note_data_dropped(12.0, "no-route")
+    assert log.data_dropped == 3
+    assert log.drops_by_reason == {"no-route": 2, "buffer-full": 1}
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "dsr", "cml"])
+def test_drops_by_reason_sum_to_data_dropped(protocol):
+    cfg = ScenarioConfig(protocol=protocol, n=20, duration=60.0, warmup=10.0,
+                         seed=1).validate()
+    world = World(cfg)
+    world.run()
+    log = world.metrics
+    assert log.data_dropped > 0 and len(log.drops_by_reason) > 1
+    assert sum(log.drops_by_reason.values()) == log.data_dropped
 
 
 def test_duplicate_delivery_counted_not_recorded():

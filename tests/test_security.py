@@ -4,6 +4,8 @@ import pytest
 
 from emanetsim import acceptance as ac
 from emanetsim import security as sec
+from emanetsim.config import ScenarioConfig
+from emanetsim.network import World
 
 
 def profile(mips=450e6):
@@ -96,6 +98,26 @@ def test_gate_open_without_authentication():
     for mode in ("none", "esp-only"):
         assert sec.accept_packet(_FakeFrame(adv=True), mode)
         assert sec.accept_packet(_FakeFrame(valid=False), mode)
+
+
+@pytest.mark.parametrize("mode", sec.SECURITY_MODES)
+def test_world_crypto_cost_cache_matches_apply_security(mode):
+    cfg = ScenarioConfig(protocol="cml", n=15, duration=30.0, warmup=5.0, seed=2,
+                         security_mode=mode).validate()
+    world = World(cfg)
+    sizes = set()
+    transmit = world._transmit
+
+    def recording_transmit(node, item):
+        sizes.add(item.frame.msg.wire_size())
+        transmit(node, item)
+
+    world._transmit = recording_transmit
+    world.run()
+    assert len(sizes) > 3
+    assert set(world._crypto_costs) == {(size, mode) for size in sizes}
+    for (size, _), cost in world._crypto_costs.items():
+        assert cost == sec.apply_security(size, mode, cfg.device)
 
 
 def test_device_profile_rejects_nonpositive():
