@@ -173,9 +173,8 @@ class World:
             if node.queue:
                 self._schedule_pump(node, now)
             return
-        start_at = max(item.not_before, node.tx_busy_until)
-        if start_at > now:
-            self._schedule_pump(node, start_at)
+        if item.not_before > now or node.tx_busy_until > now:
+            self._schedule_pump(node, max(item.not_before, node.tx_busy_until))
             return
         if node.air_busy_until > now:
             # medium busy: defer to its end plus a random contention backoff
@@ -220,7 +219,8 @@ class World:
         if cfg.ideal_channel:
             end = now + (snd_delay + airtime)
             for v_id in deliver_to:
-                kernel.schedule(end, lambda v=v_id: self._schedule_reception(v, frame, rcv_delay),
+                kernel.schedule(end, partial(self._schedule_receptions, (v_id,), frame,
+                                             rcv_delay),
                                 kind="tx-end", node=node.id, detail=frame.kind)
             if receiver is not None and not deliver_to and frame.kind == pk.DATA:
                 self.data_dropped(msg, "no-link")
@@ -232,9 +232,10 @@ class World:
         nodes = self.nodes
         for v_id in audible:
             v = nodes[v_id]
-            if v.air_busy_until > now:
+            busy_until = v.air_busy_until
+            if busy_until > now:
                 v.last_collision = now
-            if v.air_busy_until < end:
+            if busy_until < end:
                 v.air_busy_until = end
         started_clear = [v.tx_busy_until <= now and v.last_collision < now
                          for v in map(nodes.__getitem__, deliver_to)]
@@ -273,18 +274,20 @@ class World:
             return
 
         node.queue.popleft()
-        for v_id in ok_receivers:
-            self._schedule_reception(v_id, frame, rcv_delay)
+        self._schedule_receptions(ok_receivers, frame, rcv_delay)
         if node.queue:
             self._schedule_pump(node, now)
 
-    def _schedule_reception(self, v_id, frame, rcv_delay):
-        v = self.nodes[v_id]
-        if not v.active:
-            return
-        handler_at = self.kernel.now + self.cfg.processing_delay + rcv_delay
-        self.kernel.schedule(handler_at, lambda: self._receive(v, frame, rcv_delay),
-                             kind="rx", node=v_id, detail=frame.kind)
+    def _schedule_receptions(self, v_ids, frame, rcv_delay):
+        """One rx event per active receiver, after processing and crypto."""
+        kernel = self.kernel
+        nodes = self.nodes
+        handler_at = kernel.now + self.cfg.processing_delay + rcv_delay
+        for v_id in v_ids:
+            v = nodes[v_id]
+            if v.active:
+                kernel.schedule(handler_at, partial(self._receive, v, frame, rcv_delay),
+                                kind="rx", node=v_id, detail=frame.kind)
 
     def _receive(self, node, frame, rcv_delay):
         if not node.active:
