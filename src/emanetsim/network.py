@@ -81,6 +81,7 @@ class World:
                 "mac": self.root_stream.fork(f"node{i}/mac"),
             }
             node = Node(i, kin, streams)
+            node.pump_event = partial(self._pump_event, node)
             self.mobility.init_node(kin, streams["mob"])
             self.nodes.append(node)
 
@@ -90,8 +91,6 @@ class World:
         # (wire size, security mode) -> apply_security's cost triple
         self._crypto_costs = {}
         self._authenticates = sec.authenticates(cfg.security_mode)
-        for node in self.nodes:
-            node.pump_event = partial(self._pump_event, node)
 
         self.flows = {}
         self._ready = False
