@@ -114,16 +114,44 @@ def test_destination_reply_creates_reverse_route():
     assert mid.valid_route(2) is not None
 
 
-def test_unreachable_destination_drops_after_retries():
+@pytest.mark.parametrize("protocol,rreq_kind", [("aodv", pk.RREQ), ("dsr", pk.DSR_RREQ)])
+def test_unreachable_destination_drops_after_retries(protocol, rreq_kind):
     positions = chain_positions(2) + [(5000.0, 5000.0)]
-    world = aodv_world(positions, width=6000.0, height=6000.0)
-    send(world, 0, 2)
+    world = aodv_world(positions, protocol=protocol, width=6000.0, height=6000.0,
+                       buffer_cap=2)
+    cfg = world.cfg
+    drops = world.metrics.drops_by_reason
+    floods = []
+    broadcast = world.broadcast
+
+    def spy(node, kind, msg, **kw):
+        if node.id == 0 and kind == rreq_kind:
+            floods.append(world.kernel.now)
+        broadcast(node, kind, msg, **kw)
+
+    world.broadcast = spy
+    for seq in range(cfg.buffer_cap + 1):
+        send(world, 0, 2, seq=seq)
+    assert drops == {"buffer-full": 1}
     # 1 + rreq_retries floods, net_traversal_time apart, then the drop
     world.kernel.run_until(15.0)
+    timeout = 2 * cfg.node_traversal_time * cfg.net_diameter
+    assert floods == pytest.approx([i * timeout for i in range(1 + cfg.rreq_retries)])
     assert len(world.metrics.records) == 0
-    assert world.metrics.data_dropped == 1
-    floods = world.metrics.control[pk.RREQ].count
-    assert floods >= 2  # original flood plus at least one retry relayed by node 1
+    assert drops == {"buffer-full": 1, "discovery-failed": cfg.buffer_cap}
+    assert world.metrics.control[rreq_kind].count == 2 * len(floods)  # node 1 relays each
+
+    # a reset cancels the running discovery's timer and drops its buffer
+    floods.clear()
+    send(world, 0, 2, seq=10)
+    send(world, 0, 2, seq=11)
+    cancelled = world.kernel.cancelled
+    world.nodes[0].driver.reset()
+    assert world.kernel.cancelled == cancelled + 1
+    assert drops["engine-reset"] == 2
+    world.kernel.run_until(30.0)
+    assert floods == [15.0]
+    assert world.metrics.data_dropped == 1 + cfg.buffer_cap + 2
 
 
 def test_route_expiry_forces_rediscovery():
