@@ -30,14 +30,84 @@ class Route:
         self.expiry = expiry
 
 
-class Discovery:
-    __slots__ = ("retries_left", "packets", "timer", "rreq_id")
+def net_traversal_time(cfg):
+    """Per the AODV convention: 2 * node_traversal_time * net_diameter."""
+    return 2.0 * cfg.node_traversal_time * cfg.net_diameter
 
-    def __init__(self, retries_left, rreq_id):
+
+class _Request:
+    __slots__ = ("retries_left", "packets", "timer")
+
+    def __init__(self, retries_left):
         self.retries_left = retries_left
         self.packets = []
         self.timer = None
-        self.rreq_id = rreq_id
+
+
+class Discovery:
+    """One node's on-demand route discovery, shared by the AODV and DSR
+    engines (RFC 3561 6.3-6.4, RFC 4728 3.1). Data for a destination with no
+    route waits in a bounded buffer while a request floods; with no reply
+    within the net traversal time the request floods again under a fresh id,
+    up to rreq_retries times, and then the buffered data is dropped.
+
+    flood(dest, rreq_id) is the engine's own part: it marks the request seen
+    and broadcasts its request message.
+    """
+
+    def __init__(self, world, node, flood, detail):
+        self.world = world
+        self.node = node
+        self.flood = flood
+        self.detail = detail  # the timer events' trace detail
+        self.rreq_counter = 0
+        self.pending = {}  # dest -> _Request
+
+    def buffer(self, msg):
+        """Hold msg until a route to msg.dst is found, starting a discovery
+        if none is running."""
+        cfg = self.world.cfg
+        req = self.pending.get(msg.dst)
+        if req is None:
+            req = self.pending[msg.dst] = _Request(cfg.rreq_retries)
+            self._flood(msg.dst, req)
+        if len(req.packets) < cfg.buffer_cap:
+            req.packets.append(msg)
+        else:
+            self.world.data_dropped(msg, "buffer-full")
+
+    def _flood(self, dest, req):
+        self.rreq_counter += 1
+        self.flood(dest, self.rreq_counter)
+        req.timer = self.world.kernel.schedule_in(
+            net_traversal_time(self.world.cfg), lambda: self._timeout(dest),
+            kind="timer", node=self.node.id, detail=self.detail)
+
+    def _timeout(self, dest):
+        req = self.pending[dest]
+        if req.retries_left > 0:
+            req.retries_left -= 1
+            self._flood(dest, req)
+            return
+        del self.pending[dest]
+        for msg in req.packets:
+            self.world.data_dropped(msg, "discovery-failed")
+
+    def resolve(self, dest):
+        """A reply arrived: end the discovery for dest and return the data it
+        buffered (empty when none was running)."""
+        req = self.pending.pop(dest, None)
+        if req is None:
+            return ()
+        self.world.kernel.cancel(req.timer)
+        return req.packets
+
+    def reset(self):
+        for req in self.pending.values():
+            self.world.kernel.cancel(req.timer)
+            for msg in req.packets:
+                self.world.data_dropped(msg, "engine-reset")
+        self.pending.clear()
 
 
 class AodvNode:
@@ -50,26 +120,20 @@ class AodvNode:
         self.enabled = True
         self.routes = {}
         self.own_seq = 0
-        self.rreq_counter = 0
         self.seen_rreqs = {}
-        self.pending = {}
+        self.discovery = Discovery(world, node, self._flood_rreq, "rreq-timeout")
         self.on_rrep_at_source = None  # hook(total_hops) for the adaptive layer
 
     def boot(self):
         pass
 
     def reset(self):
-        for disc in self.pending.values():
-            self.world.kernel.cancel(disc.timer)
-            for msg in disc.packets:
-                self.world.data_dropped(msg, "engine-reset")
+        self.discovery.reset()
         self.routes.clear()
         self.seen_rreqs.clear()
-        self.pending.clear()
 
     def net_traversal_time(self):
-        """Per the AODV convention: 2 * node_traversal_time * net_diameter."""
-        return 2.0 * self.cfg.node_traversal_time * self.cfg.net_diameter
+        return net_traversal_time(self.cfg)
 
     # -- routing table ------------------------------------------------------
 
@@ -105,46 +169,16 @@ class AodvNode:
         if route is not None:
             self._forward(msg, route)
             return
-        disc = self.pending.get(msg.dst)
-        if disc is None:
-            disc = self._originate_rreq(msg.dst)
-        if len(disc.packets) < self.cfg.buffer_cap:
-            disc.packets.append(msg)
-        else:
-            self.world.data_dropped(msg, "buffer-full")
+        if msg.dst not in self.discovery.pending:
+            self.own_seq += 1  # once per discovery, not per retry
+        self.discovery.buffer(msg)
 
-    def _originate_rreq(self, dest):
-        self.rreq_counter += 1
-        self.own_seq += 1
-        disc = Discovery(self.cfg.rreq_retries, self.rreq_counter)
-        self.pending[dest] = disc
-        self._flood_rreq(dest, disc)
-        return disc
-
-    def _flood_rreq(self, dest, disc):
-        msg = pk.RreqMsg(origin=self.node.id, destination=dest,
-                         rreq_id=disc.rreq_id, origin_sequence=self.own_seq,
-                         hop_count=0)
-        self.seen_rreqs[(self.node.id, disc.rreq_id)] = \
+    def _flood_rreq(self, dest, rreq_id):
+        self.seen_rreqs[(self.node.id, rreq_id)] = \
             self.world.kernel.now + self.cfg.seen_lifetime
-        self.world.broadcast(self.node, pk.RREQ, msg)
-        disc.timer = self.world.kernel.schedule_in(
-            self.net_traversal_time(), lambda: self._discovery_timeout(dest),
-            kind="timer", node=self.node.id, detail="rreq-timeout")
-
-    def _discovery_timeout(self, dest):
-        disc = self.pending.get(dest)
-        if disc is None:
-            return
-        if disc.retries_left > 0:
-            disc.retries_left -= 1
-            self.rreq_counter += 1
-            disc.rreq_id = self.rreq_counter
-            self._flood_rreq(dest, disc)
-            return
-        del self.pending[dest]
-        for msg in disc.packets:
-            self.world.data_dropped(msg, "discovery-failed")
+        self.world.broadcast(self.node, pk.RREQ, pk.RreqMsg(
+            origin=self.node.id, destination=dest, rreq_id=rreq_id,
+            origin_sequence=self.own_seq, hop_count=0))
 
     # -- reception --------------------------------------------------------------
 
@@ -179,26 +213,20 @@ class AodvNode:
             self.node.id,
             msg=pk.RreqMsg(msg.origin, msg.destination, msg.rreq_id,
                            msg.origin_sequence, msg.hop_count + 1))
-        jitter = self.node.streams["proto"].uniform(0.0, self.cfg.broadcast_jitter)
-        self.world.kernel.schedule_in(
-            jitter, lambda: self.world.relay(self.node, relay),
-            kind="relay", node=self.node.id, detail="rreq")
+        self.world.relay_after_jitter(self.node, relay, "rreq")
 
     def process_rrep(self, frame, prev_hop):
         msg = frame.msg
         total_hops = msg.hop_count + 1
         self._install(msg.destination, prev_hop, total_hops, msg.dest_sequence)
         if msg.origin == self.node.id:
-            disc = self.pending.pop(msg.destination, None)
-            if disc is not None:
-                self.world.kernel.cancel(disc.timer)
-                route = self.valid_route(msg.destination)
-                horizon = self.world.kernel.now - self.cfg.buffer_hold
-                for buffered in disc.packets:
-                    if route is None or buffered.send_time < horizon:
-                        self.world.data_dropped(buffered, "no-route")
-                    else:
-                        self._forward(buffered, route)
+            route = self.valid_route(msg.destination)
+            horizon = self.world.kernel.now - self.cfg.buffer_hold
+            for buffered in self.discovery.resolve(msg.destination):
+                if route is None or buffered.send_time < horizon:
+                    self.world.data_dropped(buffered, "no-route")
+                else:
+                    self._forward(buffered, route)
             if self.on_rrep_at_source is not None:
                 self.on_rrep_at_source(total_hops)
             return

@@ -250,11 +250,8 @@ class CmlNode:
         self._cp_seen[msg.origin] = msg.sequence
         if self.node.adversary == sec.ATTACK_DROP_CP:
             return  # transit change-phase packets die here
-        relay = frame.clone_for_relay(self.node.id)
-        jitter = self.node.streams["proto"].uniform(0.0, self.cfg.broadcast_jitter)
-        self.world.kernel.schedule_in(
-            jitter, lambda: self.world.relay(self.node, relay),
-            kind="relay", node=self.node.id, detail="cp")
+        self.world.relay_after_jitter(self.node, frame.clone_for_relay(self.node.id),
+                                      "cp")
         target = msg.target_phase
         if self.stable_phase == target:
             return
@@ -302,10 +299,7 @@ class CmlNode:
         relay = frame.clone_for_relay(self.node.id, msg=relay_msg)
         if tampering:
             relay.sec_valid = False
-        jitter = self.node.streams["proto"].uniform(0.0, self.cfg.hcreq_jitter)
-        self.world.kernel.schedule_in(
-            jitter, lambda: self.world.relay(self.node, relay),
-            kind="relay", node=self.node.id, detail="hcreq")
+        self.world.relay_after_jitter(self.node, relay, "hcreq", self.cfg.hcreq_jitter)
         if first and not msg.is_echo:
             self._probe_counter += 1
             pid = self._probe_counter

@@ -7,6 +7,7 @@ on a data packet is charged to routing load.
 """
 
 from . import packets as pk
+from .aodv import Discovery
 
 
 class DsrNode:
@@ -19,9 +20,8 @@ class DsrNode:
         self.enabled = True
         # dest -> list of (path tuple self..dest, expiry)
         self.cache = {}
-        self.rreq_counter = 0
         self.seen = {}
-        self.pending = {}  # dest -> Discovery-like dict
+        self.discovery = Discovery(world, node, self._flood_rreq, "dsr-timeout")
 
     def boot(self):
         pass
@@ -29,11 +29,7 @@ class DsrNode:
     def reset(self):
         self.cache.clear()
         self.seen.clear()
-        for disc in self.pending.values():
-            self.world.kernel.cancel(disc["timer"])
-            for msg in disc["packets"]:
-                self.world.data_dropped(msg, "engine-reset")
-        self.pending.clear()
+        self.discovery.reset()
 
     # -- cache ----------------------------------------------------------------
 
@@ -82,47 +78,14 @@ class DsrNode:
             msg.cursor = 0
             self._forward_data(msg)
             return
-        disc = self.pending.get(msg.dst)
-        if disc is None:
-            disc = self._discover(msg.dst)
-        if len(disc["packets"]) < self.cfg.buffer_cap:
-            disc["packets"].append(msg)
-        else:
-            self.world.data_dropped(msg, "buffer-full")
+        self.discovery.buffer(msg)
 
-    def _discover(self, dest):
-        self.rreq_counter += 1
-        disc = {"retries": self.cfg.rreq_retries, "packets": [], "timer": None,
-                "rreq_id": self.rreq_counter}
-        self.pending[dest] = disc
-        self._flood(dest, disc)
-        return disc
-
-    def _flood(self, dest, disc):
-        msg = pk.DsrRreqMsg(origin=self.node.id, destination=dest,
-                            rreq_id=disc["rreq_id"],
-                            route_record=(self.node.id,))
-        self.seen[(self.node.id, disc["rreq_id"])] = \
+    def _flood_rreq(self, dest, rreq_id):
+        self.seen[(self.node.id, rreq_id)] = \
             self.world.kernel.now + self.cfg.seen_lifetime
-        self.world.broadcast(self.node, pk.DSR_RREQ, msg)
-        timeout = 2.0 * self.cfg.node_traversal_time * self.cfg.net_diameter
-        disc["timer"] = self.world.kernel.schedule_in(
-            timeout, lambda: self._timeout(dest),
-            kind="timer", node=self.node.id, detail="dsr-timeout")
-
-    def _timeout(self, dest):
-        disc = self.pending.get(dest)
-        if disc is None:
-            return
-        if disc["retries"] > 0:
-            disc["retries"] -= 1
-            self.rreq_counter += 1
-            disc["rreq_id"] = self.rreq_counter
-            self._flood(dest, disc)
-            return
-        del self.pending[dest]
-        for msg in disc["packets"]:
-            self.world.data_dropped(msg, "discovery-failed")
+        self.world.broadcast(self.node, pk.DSR_RREQ, pk.DsrRreqMsg(
+            origin=self.node.id, destination=dest, rreq_id=rreq_id,
+            route_record=(self.node.id,)))
 
     # -- reception ------------------------------------------------------------------
 
@@ -158,22 +121,16 @@ class DsrNode:
             self.node.id,
             msg=pk.DsrRreqMsg(msg.origin, msg.destination, msg.rreq_id,
                               msg.route_record + (self.node.id,)))
-        jitter = self.node.streams["proto"].uniform(0.0, self.cfg.broadcast_jitter)
-        self.world.kernel.schedule_in(
-            jitter, lambda: self.world.relay(self.node, relay),
-            kind="relay", node=self.node.id, detail="dsr-rreq")
+        self.world.relay_after_jitter(self.node, relay, "dsr-rreq")
 
     def process_rrep(self, msg):
         route = msg.route
         if msg.destination == self.node.id:
             self.add_path(route)
-            disc = self.pending.pop(route[-1], None)
-            if disc is not None:
-                self.world.kernel.cancel(disc["timer"])
-                for buffered in disc["packets"]:
-                    buffered.source_route = route
-                    buffered.cursor = 0
-                    self._forward_data(buffered)
+            for buffered in self.discovery.resolve(route[-1]):
+                buffered.source_route = route
+                buffered.cursor = 0
+                self._forward_data(buffered)
             return
         if msg.cursor <= 0 or route[msg.cursor] != self.node.id:
             return

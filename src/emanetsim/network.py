@@ -145,6 +145,16 @@ class World:
     def relay(self, node, frame):
         self._enqueue(node, frame)
 
+    def relay_after_jitter(self, node, frame, detail, max_jitter=None):
+        """Relay a flooded frame after a jitter drawn uniformly from
+        [0, max_jitter) on the node's proto stream; max_jitter defaults to
+        broadcast_jitter."""
+        if max_jitter is None:
+            max_jitter = self.cfg.broadcast_jitter
+        jitter = node.streams["proto"].uniform(0.0, max_jitter)
+        self.kernel.schedule_in(jitter, lambda: self.relay(node, frame),
+                                kind="relay", node=node.id, detail=detail)
+
     def _enqueue(self, node, frame):
         if not node.active:
             return

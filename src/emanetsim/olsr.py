@@ -231,11 +231,8 @@ class OlsrNode:
             self._next_expiry = expiry
         # MPR flooding: relay only if the previous hop selected us
         if sender in self.mpr_selectors:
-            relay = frame.clone_for_relay(self.node.id)
-            jitter = self.node.streams["proto"].uniform(0.0, self.cfg.broadcast_jitter)
-            self.world.kernel.schedule_in(
-                jitter, lambda: self.world.relay(self.node, relay),
-                kind="relay", node=self.node.id, detail="tc")
+            self.world.relay_after_jitter(self.node, frame.clone_for_relay(self.node.id),
+                                          "tc")
         if self.on_tc_processed is not None:
             self.on_tc_processed()
 
