@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 from . import packets as pk
 from . import security as sec
-from .config import ScenarioConfig, SweepSpec
+from .config import PROTOCOLS, ScenarioConfig, SweepSpec
 from .network import World
 from .olsr import select_mprs, shortest_routes
-from .runner import graph_diameter, run_cells, seed_means, static_connected_world
+from .runner import (graph_diameter, hop_distances, run_cells, seed_means,
+                     static_connected_world)
 from .security import AdversaryRole
 
 SIZES = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
@@ -52,7 +53,7 @@ def comparative_results(parallel=2):
     """Default-scenario sweep over all four protocols."""
     def build():
         spec = SweepSpec(base=ScenarioConfig(**RUN), sizes=SIZES, seeds=SEEDS,
-                         protocols=("olsr", "aodv", "dsr", "cml"))
+                         protocols=PROTOCOLS)
         summaries = run_cells(spec.cells(), parallel=parallel)
         by_cell = {}
         for s in summaries:
@@ -141,7 +142,7 @@ def criterion_dsr_worst(parallel=2):
         d = means[("dsr", n)]["avg_delay_s"]
         if all(d > means[(p, n)]["avg_delay_s"] for p in ("olsr", "aodv", "cml")):
             worst += 1
-    loads = {p: means[(p, 50)]["ctl_bytes"] for p in ("olsr", "aodv", "dsr", "cml")}
+    loads = {p: means[(p, 50)]["ctl_bytes"] for p in PROTOCOLS}
     load_ok = max(loads, key=loads.get) == "dsr"
     ok = worst >= 7 and load_ok
     return CriterionResult(
@@ -175,7 +176,7 @@ def criterion_jitter(parallel=2):
 def criterion_routing_load(parallel=2):
     by_cell, means = comparative_results(parallel)
     fails = []
-    loads = {p: means[(p, 50)]["ctl_bytes"] for p in ("olsr", "aodv", "dsr", "cml")}
+    loads = {p: means[(p, 50)]["ctl_bytes"] for p in PROTOCOLS}
     if min(loads, key=loads.get) != "olsr":
         fails.append(f"OLSR not least at N=50: {loads}")
     for n in SIZES:
@@ -532,16 +533,7 @@ def criterion_route_oracles():
                     adj[a].add(b)
                     adj[b].add(a)
         adj = {i: sorted(adj[i]) for i in adj}
-        dist = {0: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
+        dist = hop_distances(adj.__getitem__, 0)
         routes = shortest_routes(0, adj[0], adj)
         for dest, d in dist.items():
             if dest and routes.get(dest, (None, -1))[1] != d:
@@ -570,17 +562,7 @@ def criterion_aodv_oracle():
         for n in (10, 16, 22):
             world = static_connected_world(base.replace(n=n, seed=seed))
             world.setup()
-            adj = {node.id: list(world.neighbors(node.id)) for node in world.nodes}
-            dist = {0: 0}
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in adj[u]:
-                        if v not in dist:
-                            dist[v] = dist[u] + 1
-                            nxt.append(v)
-                frontier = nxt
+            dist = hop_distances(world.neighbors, 0)
             for i, dst in enumerate(sorted(dist)[1:]):
                 msg = pk.DataMsg(flow_id=(i, 0), seq=0, src=0, dst=dst,
                                  payload=32, send_time=world.kernel.now)
@@ -597,14 +579,13 @@ def criterion_aodv_oracle():
 
 
 def criterion_determinism():
-    from .metrics import summary_csv_text
     cfg = ScenarioConfig(protocol="cml", n=20, seed=9, duration=90.0,
                          warmup=20.0).validate()
     outputs = []
     for _ in range(2):
         world = World(cfg)
         summary = world.run()
-        outputs.append((summary_csv_text([summary]), tuple(world.transitions)))
+        outputs.append((summary.csv_row(), tuple(world.transitions)))
     ok = outputs[0] == outputs[1]
     return CriterionResult(
         "10c determinism", ok,

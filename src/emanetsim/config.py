@@ -316,7 +316,7 @@ class SweepSpec:
     base: ScenarioConfig = field(default_factory=ScenarioConfig)
     sizes: tuple = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
     seeds: tuple = (1, 2, 3, 4, 5)
-    protocols: tuple = ("olsr", "aodv", "dsr", "cml")
+    protocols: tuple = PROTOCOLS
     security_modes: tuple = ("none",)
 
     def cells(self):

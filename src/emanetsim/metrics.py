@@ -2,13 +2,19 @@
 run summaries, and cumulative-over-size aggregation."""
 
 import csv
-import io
+import os
 from dataclasses import dataclass, field
 
 from . import packets
 
 CSV_HEADER = [
     "protocol", "security_mode", "N", "seed", "avg_delay_s", "avg_jitter_s",
+    "ctl_packets", "ctl_bytes", "data_sent", "data_delivered",
+    "goodput_ratio", "phase_shifts",
+]
+
+MEANS_HEADER = [
+    "protocol", "security_mode", "N", "avg_delay_s", "avg_jitter_s",
     "ctl_packets", "ctl_bytes", "data_sent", "data_delivered",
     "goodput_ratio", "phase_shifts",
 ]
@@ -65,7 +71,8 @@ class RunSummary:
 
 
 def _jitter(recs):
-    """flow_jitter over one flow's records, given in recording order."""
+    """Mean absolute difference of consecutive (by sequence) delays over one
+    flow's records, given in recording order; None below two records."""
     recs = sorted(recs, key=lambda r: r.seq)
     if len(recs) < 2:
         return None
@@ -132,13 +139,6 @@ class MetricLog:
         byts = sum(c.bytes for c in self.control.values())
         return pkts, byts
 
-    def flow_jitter(self, flow_id):
-        """Mean absolute difference of consecutive (by sequence) delays.
-
-        Returns None for flows with fewer than two deliveries.
-        """
-        return _jitter([r for r in self.records if r.flow_id == flow_id])
-
     def summarize(self, protocol, security_mode, network_size, seed):
         if self.records:
             avg_delay = sum(r.delay for r in self.records) / len(self.records)
@@ -172,22 +172,29 @@ class MetricLog:
         )
 
 
-def write_summary_csv(rows, path):
-    """rows: iterable of RunSummary, written in the given order."""
-    with open(path, "w", newline="") as fh:
+def write_csv(path, header, rows, append=False):
+    """Write rows under header with "\n" line ends. With append=True the
+    rows go after the file's existing ones and the header is written only
+    when the file is new."""
+    new = not (append and os.path.exists(path))
+    with open(path, "a" if append else "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        for s in rows:
-            w.writerow(s.csv_row())
+        if new:
+            w.writerow(header)
+        w.writerows(rows)
 
 
-def summary_csv_text(rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    for s in rows:
-        w.writerow(s.csv_row())
-    return buf.getvalue()
+def write_summary_csv(rows, path, append=False):
+    """rows: iterable of RunSummary, written in the given order."""
+    write_csv(path, CSV_HEADER, (s.csv_row() for s in rows), append)
+
+
+def write_means_csv(mean_rows, path):
+    """mean_rows: seed-mean dicts keyed by MEANS_HEADER; floats get 9 decimals."""
+    def cell(v):
+        return v if isinstance(v, str) else str(v) if isinstance(v, int) else f"{v:.9f}"
+    write_csv(path, MEANS_HEADER, ([cell(row[c]) for c in MEANS_HEADER]
+                                   for row in mean_rows))
 
 
 def cumulate(series):
@@ -235,8 +242,4 @@ def cumulative_rows(mean_summaries):
 
 
 def write_cumulative_csv(mean_summaries, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CUMULATIVE_HEADER)
-        for row in cumulative_rows(mean_summaries):
-            w.writerow(row)
+    write_csv(path, CUMULATIVE_HEADER, cumulative_rows(mean_summaries))

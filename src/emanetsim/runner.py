@@ -2,8 +2,6 @@
 artifacts (summary rows, transition logs, manifests, traces), aggregates
 seed means, and emits cumulative series plus plot scripts."""
 
-import csv
-import math
 import os
 from multiprocessing import get_context
 
@@ -53,13 +51,7 @@ def run_scenario(cfg, out_dir=None, run_name=None):
             fh.write(line + "\n")
     with open(os.path.join(run_dir, "manifest.ini"), "w") as fh:
         fh.write(dump_config(cfg))
-    summary_path = os.path.join(out_dir, "summary.csv")
-    new = not os.path.exists(summary_path)
-    with open(summary_path, "a", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        if new:
-            w.writerow(mt.CSV_HEADER)
-        w.writerow(summary.csv_row())
+    mt.write_summary_csv([summary], os.path.join(out_dir, "summary.csv"), append=True)
     return summary, world
 
 
@@ -129,16 +121,7 @@ def run_sweep(spec, out_dir=None, parallel=1):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         mt.write_summary_csv(summaries, os.path.join(out_dir, "summary.csv"))
-        with open(os.path.join(out_dir, "means.csv"), "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            cols = ["protocol", "security_mode", "N", "avg_delay_s", "avg_jitter_s",
-                    "ctl_packets", "ctl_bytes", "data_sent", "data_delivered",
-                    "goodput_ratio", "phase_shifts"]
-            w.writerow(cols)
-            for row in means:
-                w.writerow([row[c] if isinstance(row[c], str) else
-                            (str(row[c]) if isinstance(row[c], int) else f"{row[c]:.9f}")
-                            for c in cols])
+        mt.write_means_csv(means, os.path.join(out_dir, "means.csv"))
         mt.write_cumulative_csv(means, os.path.join(out_dir, "cumulative.csv"))
         plotgen.write_plot_scripts(out_dir)
         with open(os.path.join(out_dir, "manifest.ini"), "w") as fh:
@@ -146,24 +129,26 @@ def run_sweep(spec, out_dir=None, parallel=1):
     return summaries, means
 
 
+def hop_distances(neighbours, src):
+    """BFS hop count from src to every node it reaches; neighbours(u) gives
+    u's neighbours."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in neighbours(u):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 def graph_diameter(world):
     """Max BFS hop distance over the current neighbor graph (0 if empty)."""
-    ids = [n.id for n in world.nodes if n.active]
-    best = 0
-    for src in ids:
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in world.neighbors(u):
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if dist:
-            best = max(best, max(dist.values()))
-    return best
+    return max((max(hop_distances(world.neighbors, n.id).values())
+                for n in world.nodes if n.active), default=0)
 
 
 def static_connected_world(cfg, max_attempts=50):

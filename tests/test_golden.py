@@ -4,7 +4,7 @@ A change meant to keep the simulator's behaviour must leave every digest
 unchanged; a change that alters behaviour on purpose updates the table here
 and says why in CHANGES.md.
 
-Print the current digests with `python tests/test_golden.py`.
+Print the current digests with `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import hashlib

@@ -4,8 +4,8 @@ import pytest
 
 from emanetsim.config import ScenarioConfig
 from emanetsim.kernel import RandomStream
-from emanetsim.metrics import (CSV_HEADER, MetricLog, cumulate,
-                               cumulative_rows, summary_csv_text)
+from emanetsim.metrics import (CSV_HEADER, MetricLog, _jitter, cumulate,
+                               cumulative_rows, write_summary_csv)
 from emanetsim.network import World
 
 
@@ -64,7 +64,7 @@ def test_delivery_before_send_rejected():
 
 def test_jitter_constant_delays_zero():
     log = log_with([(("f", 0), i, float(i), float(i) + 0.01) for i in range(5)])
-    assert log.flow_jitter(("f", 0)) == pytest.approx(0.0)
+    assert _jitter(log.records) == pytest.approx(0.0)
 
 
 def test_jitter_mean_absolute_difference():
@@ -72,12 +72,12 @@ def test_jitter_mean_absolute_difference():
     log = log_with([(("f", 0), 0, 0.0, 0.010),
                     (("f", 0), 1, 1.0, 1.020),
                     (("f", 0), 2, 2.0, 2.010)])
-    assert log.flow_jitter(("f", 0)) == pytest.approx(0.010)
+    assert _jitter(log.records) == pytest.approx(0.010)
 
 
 def test_jitter_undefined_below_two():
     log = log_with([(("f", 0), 0, 0.0, 0.01)])
-    assert log.flow_jitter(("f", 0)) is None
+    assert _jitter(log.records) is None
     assert math.isnan(log.summarize("olsr", "none", 5, 1).avg_jitter)
 
 
@@ -90,7 +90,7 @@ def test_jitter_matches_bruteforce_on_random_records():
         delays.append(d)
         log.record_delivery(("f", 0), i, float(i), float(i) + d, 1, 0.0)
     expect = sum(abs(b - a) for a, b in zip(delays, delays[1:])) / (len(delays) - 1)
-    assert log.flow_jitter(("f", 0)) == pytest.approx(expect)
+    assert _jitter(log.records) == pytest.approx(expect)
 
 
 def test_out_of_order_recording_sorted_by_seq():
@@ -98,7 +98,7 @@ def test_out_of_order_recording_sorted_by_seq():
                     (("f", 0), 0, 0.0, 0.010),
                     (("f", 0), 1, 1.0, 1.020)])
     # consecutive-by-sequence differences: |20-10|, |30-20|
-    assert log.flow_jitter(("f", 0)) == pytest.approx(0.010)
+    assert _jitter(log.records) == pytest.approx(0.010)
 
 
 def test_warmup_excludes_early_sends():
@@ -168,14 +168,15 @@ def test_cumulative_rows_group_and_accumulate():
     assert float(out[1][6]) == pytest.approx(300.0)
 
 
-def test_csv_schema_golden():
+def test_csv_schema_golden(tmp_path):
     header = ",".join(CSV_HEADER)
     assert header == ("protocol,security_mode,N,seed,avg_delay_s,avg_jitter_s,"
                       "ctl_packets,ctl_bytes,data_sent,data_delivered,"
                       "goodput_ratio,phase_shifts")
     log = log_with([(("f", 0), 0, 0.0, 0.25)])
-    text = summary_csv_text([log.summarize("cml", "hybrid", 20, 3)])
-    lines = text.strip().split("\n")
+    path = tmp_path / "summary.csv"
+    write_summary_csv([log.summarize("cml", "hybrid", 20, 3)], path)
+    lines = path.read_text().strip().split("\n")
     assert lines[0] == header
     fields = lines[1].split(",")
     assert fields[0] == "cml" and fields[1] == "hybrid"
@@ -192,7 +193,8 @@ def test_summarize_jitter_over_interleaved_out_of_order_flows():
     for f, seq in pending:
         send = seq + 0.1 * f[1]
         log.record_delivery(f, seq, send, send + s.uniform(0.001, 0.2), 1, 0.0)
-    jitters = [log.flow_jitter(f) for f in sorted(flows)]
+    jitters = [_jitter([r for r in log.records if r.flow_id == f])
+               for f in sorted(flows)]
     jitters = [j for j in jitters if j is not None]
     assert 0 < len(jitters) < len(flows)
     # same values summed in the same order: equal to the last bit
