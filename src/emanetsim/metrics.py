@@ -190,11 +190,11 @@ def write_summary_csv(rows, path, append=False):
 
 
 def write_means_csv(mean_rows, path):
-    """mean_rows: seed-mean dicts keyed by MEANS_HEADER; floats get 9 decimals."""
-    def cell(v):
-        return v if isinstance(v, str) else str(v) if isinstance(v, int) else f"{v:.9f}"
-    write_csv(path, MEANS_HEADER, ([cell(row[c]) for c in MEANS_HEADER]
-                                   for row in mean_rows))
+    """mean_rows: seed_means dicts keyed by MEANS_HEADER; each mean is
+    written with 9 decimals."""
+    write_csv(path, MEANS_HEADER,
+              ([r["protocol"], r["security_mode"], str(r["N"])]
+               + [f"{r[c]:.9f}" for c in MEANS_HEADER[3:]] for r in mean_rows))
 
 
 def cumulate(series):

@@ -114,7 +114,8 @@ def test_destination_reply_creates_reverse_route():
     assert mid.valid_route(2) is not None
 
 
-@pytest.mark.parametrize("protocol,rreq_kind", [("aodv", pk.RREQ), ("dsr", pk.DSR_RREQ)])
+@pytest.mark.parametrize("protocol,rreq_kind", [("aodv", pk.RREQ), ("dsr", pk.DSR_RREQ)],
+                         ids=["aodv", "dsr"])
 def test_unreachable_destination_drops_after_retries(protocol, rreq_kind):
     positions = chain_positions(2) + [(5000.0, 5000.0)]
     world = aodv_world(positions, protocol=protocol, width=6000.0, height=6000.0,
