@@ -183,8 +183,6 @@ class AodvNode:
     # -- reception --------------------------------------------------------------
 
     def on_frame(self, frame, prev_hop):
-        if not self.enabled:
-            return
         if frame.kind == pk.RREQ:
             self.process_rreq(frame, prev_hop)
         elif frame.kind == pk.RREP:

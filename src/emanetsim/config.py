@@ -54,11 +54,9 @@ class ScenarioConfig:
     pause_max: float = 10.0
     mobility_tick: float = 0.5
     # traffic
-    traffic_pattern: str = "per-node-churn"  # or fixed-pairs
     traffic_rate: float = 1.0
     traffic_payload: int = 512
-    traffic_flows: int = 10       # fixed-pairs only
-    rotation_interval: float = 5.0  # per-node-churn destination churn
+    rotation_interval: float = 5.0  # re-draw each flow destination every (s)
     traffic_start: float = 5.0
     # olsr
     hello_interval: float = 2.0
@@ -210,10 +208,8 @@ _SCHEMA = {
         "tick": ("mobility_tick", float),
     },
     "traffic": {
-        "pattern": ("traffic_pattern", str),
         "rate": ("traffic_rate", float),
         "payload": ("traffic_payload", int),
-        "flows": ("traffic_flows", int),
         "rotation": ("rotation_interval", float),
         "start": ("traffic_start", float),
     },

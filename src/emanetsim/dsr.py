@@ -17,7 +17,6 @@ class DsrNode:
         self.world = world
         self.node = node
         self.cfg = world.cfg
-        self.enabled = True
         # dest -> list of (path tuple self..dest, expiry)
         self.cache = {}
         self.seen = {}
@@ -90,8 +89,6 @@ class DsrNode:
     # -- reception ------------------------------------------------------------------
 
     def on_frame(self, frame, prev_hop):
-        if not self.enabled:
-            return
         if frame.kind == pk.DSR_RREQ:
             self.process_rreq(frame, prev_hop)
         elif frame.kind == pk.DSR_RREP:

@@ -119,9 +119,6 @@ class RandomStream:
     def randint(self, a, b):
         return self._rng.randint(a, b)
 
-    def choice(self, seq):
-        return self._rng.choice(seq)
-
     def sample(self, seq, k):
         return self._rng.sample(seq, k)
 

@@ -71,21 +71,6 @@ class Area:
         return any(ob.intersects_segment(x1, y1, x2, y2) for ob in self.obstacles)
 
 
-@dataclass
-class LinkModel:
-    """Deterministic reception range standing in for two-ray ground propagation."""
-    radius: float
-
-    def linked(self, area, x1, y1, x2, y2):
-        dx = x1 - x2
-        dy = y1 - y2
-        if dx * dx + dy * dy > self.radius * self.radius:
-            return False
-        if area.obstacles and area.segment_blocked(x1, y1, x2, y2):
-            return False
-        return True
-
-
 def sample_point(stream, area, max_tries=1000):
     """Uniform point over the area minus obstacles, by rejection sampling."""
     for _ in range(max_tries):
@@ -181,7 +166,7 @@ class MobilityModel:
                 remaining = 0.0
 
 
-def neighbor_map(positions, link, area):
+def neighbor_map(positions, radius, area):
     """All bidirectional links among active nodes.
 
     positions: dict node-id -> (x, y). Returns dict node-id -> sorted list of
@@ -189,7 +174,7 @@ def neighbor_map(positions, link, area):
     """
     ids = sorted(positions)
     out = {i: [] for i in ids}
-    r2 = link.radius * link.radius
+    r2 = radius * radius
     check_los = bool(area.obstacles)
     for a_idx, a in enumerate(ids):
         ax, ay = positions[a]

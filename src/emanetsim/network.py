@@ -67,7 +67,6 @@ class World:
         self.transitions = []
 
         self.area = cfg.build_area()
-        self.link = mob.LinkModel(radius=cfg.radius)
         self.mobility = mob.MobilityModel(self.area, cfg.v_min, cfg.v_max, cfg.pause_max)
 
         place = self.root_stream.fork("placement")
@@ -100,7 +99,7 @@ class World:
 
     def refresh_links(self):
         positions = {n.id: (n.kin.x, n.kin.y) for n in self.nodes if n.active}
-        self._neighbors = mob.neighbor_map(positions, self.link, self.area)
+        self._neighbors = mob.neighbor_map(positions, self.cfg.radius, self.area)
 
     def neighbors(self, node_id):
         return self._neighbors.get(node_id, ())
@@ -158,7 +157,11 @@ class World:
     def _enqueue(self, node, frame):
         if not node.active:
             return
-        node.queue.append(_QueuedTx(frame, self.kernel.now))
+        item = _QueuedTx(frame, self.kernel.now)
+        if self.cfg.ideal_channel:
+            self._transmit(node, item)
+            return
+        node.queue.append(item)
         self._pump(node)
 
     def _schedule_pump(self, node, at):
@@ -176,12 +179,6 @@ class World:
         now = self.kernel.now
         cfg = self.cfg
         item = node.queue[0]
-        if cfg.ideal_channel:
-            node.queue.popleft()
-            self._transmit(node, item)
-            if node.queue:
-                self._schedule_pump(node, now)
-            return
         if item.not_before > now or node.tx_busy_until > now:
             self._schedule_pump(node, max(item.not_before, node.tx_busy_until))
             return
@@ -332,32 +329,19 @@ class World:
         if cfg.traffic_rate <= 0:
             return
         period = 1.0 / cfg.traffic_rate
-        if cfg.traffic_pattern == "per-node-churn":
-            for node in self.nodes:
-                fstream = self.root_stream.fork(f"flow{node.id}")
-                start = cfg.traffic_start + fstream.uniform(0.0, period)
-                self._new_epoch(node.id, 0, fstream, start)
-            return
-        tstream = self.root_stream.fork("traffic")
-        ids = [n.id for n in self.nodes]
-        for f in range(min(cfg.traffic_flows, cfg.n * (cfg.n - 1))):
-            src = tstream.choice(ids)
-            dst = tstream.choice([i for i in ids if i != src])
-            fstream = self.root_stream.fork(f"flow{f}")
+        for node in self.nodes:
+            fstream = self.root_stream.fork(f"flow{node.id}")
             start = cfg.traffic_start + fstream.uniform(0.0, period)
-            flow_id = (f, 0)
-            self.flows[flow_id] = {"src": src, "dst": dst, "seq": 0}
-            self.kernel.schedule(start, lambda fid=flow_id, fs=fstream:
-                                 self._send_tick(fid, fs),
-                                 kind="traffic-send", node=src)
+            self._new_epoch(node.id, 0, fstream, start)
 
     def _new_epoch(self, src, epoch, fstream, when):
-        """Per-node-churn pattern: re-draw the destination each epoch."""
+        """Start src's flow for one epoch, whose destination is re-drawn
+        every rotation_interval."""
         others = [n.id for n in self.nodes if n.id != src]
         dst = others[fstream.randrange(len(others))]
         flow_id = (src, epoch)
         self.flows[flow_id] = {"src": src, "dst": dst, "seq": 0}
-        self.kernel.schedule(when, lambda: self._send_tick(flow_id, fstream),
+        self.kernel.schedule(when, lambda: self._send_tick(flow_id),
                              kind="traffic-send", node=src)
         if self.cfg.rotation_interval > 0:
             self.kernel.schedule(when + self.cfg.rotation_interval,
@@ -365,12 +349,12 @@ class World:
                                                          self.kernel.now),
                                  kind="traffic-rotate", node=src)
 
-    def _send_tick(self, flow_id, fstream):
+    def _send_tick(self, flow_id):
         flow = self.flows[flow_id]
         cfg = self.cfg
         now = self.kernel.now
-        if cfg.rotation_interval > 0 and cfg.traffic_pattern == "per-node-churn":
-            src, epoch = flow_id
+        if cfg.rotation_interval > 0:
+            epoch = flow_id[1]
             epoch_end = cfg.traffic_start + (epoch + 1) * cfg.rotation_interval
             if now >= epoch_end - 1e-9:
                 return  # epoch rolled over; the next epoch's tick chain owns traffic
@@ -385,7 +369,7 @@ class World:
         else:
             self.data_dropped(msg, "source-inactive")
         self.kernel.schedule_in(1.0 / cfg.traffic_rate,
-                                lambda: self._send_tick(flow_id, fstream),
+                                lambda: self._send_tick(flow_id),
                                 kind="traffic-send", node=flow["src"])
 
     # ---- adversaries -------------------------------------------------------

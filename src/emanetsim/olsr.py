@@ -179,8 +179,6 @@ class OlsrNode:
     # -- reception ----------------------------------------------------------
 
     def on_frame(self, frame, prev_hop):
-        if not self.enabled:
-            return
         if frame.kind == pk.HELLO:
             self.process_hello(frame.msg, prev_hop)
         elif frame.kind == pk.TC:

@@ -8,7 +8,6 @@ from multiprocessing import get_context
 from . import metrics as mt
 from . import plotgen
 from .config import ScenarioConfig, SweepSpec, dump_config
-from .mobility import neighbor_map
 from .network import World
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from emanetsim.kernel import RandomStream
-from emanetsim.mobility import (Area, LinkModel, MobilityError, MobilityModel,
+from emanetsim.mobility import (Area, MobilityError, MobilityModel,
                                 NodeKinematics, Rect, neighbor_map,
                                 sample_point, sample_waypoint)
 
@@ -114,19 +114,19 @@ def test_containment_over_long_walk():
 
 def test_neighbors_threshold_strict():
     area = Area(100.0, 100.0)
-    link = LinkModel(radius=10.0)
-    near = neighbor_map({0: (0.0, 0.0), 1: (5.0, 0.0)}, link, area)
+    radius = 10.0
+    near = neighbor_map({0: (0.0, 0.0), 1: (5.0, 0.0)}, radius, area)
     assert near[0] == [1] and near[1] == [0]
-    far = neighbor_map({0: (0.0, 0.0), 1: (10.01, 0.0)}, link, area)
+    far = neighbor_map({0: (0.0, 0.0), 1: (10.01, 0.0)}, radius, area)
     assert far[0] == [] and far[1] == []
 
 
 def test_neighbors_grid_four_connectivity():
     # 3x3 grid spaced 10 m, radius 10: axis neighbors only (diagonal > 10)
     area = Area(100.0, 100.0)
-    link = LinkModel(radius=10.0)
+    radius = 10.0
     positions = {3 * r + c: (10.0 * c, 10.0 * r) for r in range(3) for c in range(3)}
-    got = neighbor_map(positions, link, area)
+    got = neighbor_map(positions, radius, area)
     # independent check: brute-force distance matrix
     for a in positions:
         ax, ay = positions[a]
@@ -138,11 +138,11 @@ def test_neighbors_grid_four_connectivity():
 
 def test_neighbor_symmetry_random_layouts():
     area = Area(1000.0, 1000.0)
-    link = LinkModel(radius=250.0)
+    radius = 250.0
     s = stream("sym")
     for _ in range(20):
         positions = {i: sample_point(s, area) for i in range(15)}
-        nm = neighbor_map(positions, link, area)
+        nm = neighbor_map(positions, radius, area)
         for a, nbrs in nm.items():
             for b in nbrs:
                 assert a in nm[b]
@@ -151,8 +151,8 @@ def test_neighbor_symmetry_random_layouts():
 def test_obstacle_blocks_line_of_sight():
     wall = Rect(45.0, -10.0, 10.0, 20.0)
     area = Area(100.0, 100.0, obstacles=[wall])
-    link = LinkModel(radius=250.0)
-    nm = neighbor_map({0: (0.0, 0.0), 1: (100.0, 0.0), 2: (0.0, 50.0)}, link, area)
+    radius = 250.0
+    nm = neighbor_map({0: (0.0, 0.0), 1: (100.0, 0.0), 2: (0.0, 50.0)}, radius, area)
     assert 1 not in nm[0]          # wall between 0 and 1
     assert 2 in nm[0]              # clear path
 
