@@ -190,9 +190,10 @@ class World:
         self._transmit(node, item)
 
     def _transmit(self, node, item):
-        """Put item's frame on the air. On the contended channel one tx-end
-        event settles every receiver; on the ideal channel each receiver gets
-        its own tx-end event and a unicast to a non-neighbour is dropped."""
+        """Put item's frame on the air; one tx-end event settles every
+        receiver. On the ideal channel the tx-end hands the frame to the
+        receivers in range when it was sent, a transmission that reaches no
+        one schedules none, and a unicast to a non-neighbour is dropped."""
         cfg = self.cfg
         kernel = self.kernel
         now = kernel.now
@@ -223,12 +224,12 @@ class World:
             ([receiver] if receiver in audible else [])
 
         if cfg.ideal_channel:
-            end = now + (snd_delay + airtime)
-            for v_id in deliver_to:
-                kernel.schedule(end, partial(self._schedule_receptions, (v_id,), frame,
-                                             rcv_delay),
+            if deliver_to:
+                kernel.schedule(now + (snd_delay + airtime),
+                                partial(self._schedule_receptions, deliver_to, frame,
+                                        rcv_delay),
                                 kind="tx-end", node=node.id, detail=frame.kind)
-            if receiver is not None and not deliver_to and frame.kind == pk.DATA:
+            elif receiver is not None and frame.kind == pk.DATA:
                 self.data_dropped(msg, "no-link")
             return
 

@@ -40,7 +40,7 @@ GOLDEN = {
     'cml-n20': ('436f967e3468efd9fe947dab2987fee716fecfeaa51ead62aaeb30509edd2f7f', '2ccd8fa14806f9ff33794e123f47f4b903adab5de3d56778a79c91b08df6cb59'),
     'cml-n20-forge-cp': ('2348adebe84d8e136e498429af68a5faddf69ce12db4b9da29eb9095c0b54764', 'c8fa7c23000c39a62cea859b5aff2fd51de5611dda00c4a937927848cea6340c'),
     'cml-n20-hybrid': ('b70976f164c989222044f228380ced9cdbffb71556d8eb0a12db1b8303ae0134', '8f5d0f2b0a04d085e4ac302c9e9a11018e29d11289937a40cd0f8c6dee81e62f', 'c84a418c4f5ae46f8c7a0ec47a777b11a01e5934e4f2dcca5effa06265face46'),
-    'cml-n20-ideal-hybrid': ('5a28d309a673f3694f27c6cc8afe191d1d05951181aaba461541dc25256f075c', 'eb8c55b4fb97f4d489d3cebb96b38e7ab102213b2c18ea68034d88080111af92', '5db16fc2c9057d191803f78d39b1d40aa46f4ebfe1b38e046d548d2164be1423'),
+    'cml-n20-ideal-hybrid': ('5a28d309a673f3694f27c6cc8afe191d1d05951181aaba461541dc25256f075c', 'eb8c55b4fb97f4d489d3cebb96b38e7ab102213b2c18ea68034d88080111af92', '42cb1e5fc75ae3a19937c606215cdbf568da9a9695af1927cd3bd80dcc6e200c'),
     'cml-n5': ('49c7f8a2ddbbca6aebd99dfd75d7a69b3c2361aa2a53e082aea3709a1d7221c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'dsr-n20': ('a5d79a8f41e6119b76cfa65c8166355e020a29ae46a47c57be14d6c823b87923', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '0715c76816d9d4b5fa26efd6e207476a04364052f96a4e25fce715aa6a5ad9d5'),
     'dsr-n5': ('0a58d34c7a551d4ed9ef02a1235542e13502e0be6562f943dce94bb59cb7b690', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
