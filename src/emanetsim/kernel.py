@@ -58,9 +58,10 @@ class EventKernel:
     def run_until(self, t_end):
         """Dispatch every event with fire_time <= t_end; leaves now == t_end.
 
-        Each dispatched event writes one line, without its newline, to the
-        trace callable when one is set. The timestamp is formatted once for
-        each run of equal fire times.
+        Each dispatched event passes one line, ending in its newline, to the
+        trace callable when one is set, so a file's `write` serves as the
+        callable. The timestamp is formatted once for each run of equal fire
+        times.
         """
         if t_end < self.now:
             raise SchedulingError(f"run_until({t_end}) before now={self.now}")
@@ -81,7 +82,7 @@ class EventKernel:
                 if fire_time != stamp_time:
                     stamp_time = fire_time
                     stamp = f"{fire_time:.9f}"
-                trace(f"{stamp}\t{node}\t{kind}\t{detail}")
+                trace(f"{stamp}\t{node}\t{kind}\t{detail}\n")
             fn()
         self.now = t_end
         return self.dispatched - before

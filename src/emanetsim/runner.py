@@ -36,10 +36,7 @@ def run_scenario(cfg, out_dir=None, run_name=None):
     os.makedirs(run_dir, exist_ok=True)
     trace_fh = open(os.path.join(run_dir, "trace.log"), "w") if cfg.trace else None
     try:
-        sink = None
-        if trace_fh is not None:
-            def sink(line, write=trace_fh.write):
-                write(line + "\n")
+        sink = trace_fh.write if trace_fh is not None else None
         world = build_world(cfg, trace_sink=sink)
         summary = world.run()
     finally:

@@ -110,7 +110,7 @@ def test_trace_lines_sorted_by_time():
     k.run_until(5.0)
     times = [float(line.split("\t")[0]) for line in lines]
     assert times == sorted(times)
-    assert lines[0].split("\t")[1:] == ["4", "timer", "x"]
+    assert lines[0].split("\t")[1:] == ["4", "timer", "x\n"]
 
 
 # One event scheduled before the first step: its fire time in quarter units
@@ -164,7 +164,7 @@ def test_dispatch_order_is_sorted_schedule_without_cancelled(plans, steps):
         assert k.dispatched + k.cancelled + k.pending == k.scheduled
         assert (k.scheduled, k.dispatched, k.cancelled) == \
             (len(keys), len(fired), len(cancelled))
-        assert lines == [f"{keys[i][0]:.9f}\t{i}\tev\t{details[i]}"
+        assert lines == [f"{keys[i][0]:.9f}\t{i}\tev\t{details[i]}\n"
                          for i in fired]
 
 

@@ -36,7 +36,7 @@ def test_streamed_trace_matches_world_trace(tmp_path):
     World(cfg, trace=lines.append).run()
     summary, world = run_scenario(cfg, out_dir=str(tmp_path), run_name="run")
     text = (tmp_path / "run" / "trace.log").read_text()
-    assert text == "".join(line + "\n" for line in lines)
+    assert text == "".join(lines)
     assert text.count("\n") == world.kernel.dispatched
 
 
@@ -62,7 +62,7 @@ def test_run_that_raises_leaves_partial_trace(tmp_path, monkeypatch):
     monkeypatch.setattr(World, "_receive", failing_receive)
     with pytest.raises(RuntimeError, match="handler failed"):
         run_scenario(cfg, out_dir=str(tmp_path), run_name="run")
-    partial = (tmp_path / "run" / "trace.log").read_text().splitlines()
+    partial = (tmp_path / "run" / "trace.log").read_text().splitlines(keepends=True)
     assert 0 < len(partial) < len(lines)
     assert partial == lines[:len(partial)]
     assert partial[-1].split("\t")[2] == "rx"
