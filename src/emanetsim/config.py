@@ -120,11 +120,14 @@ class ScenarioConfig:
         need(self.radius > 0, "radius", "must be > 0")
         need(self.bandwidth_bps > 0, "bandwidth", "must be > 0")
         need(self.processing_delay >= 0, "processing_delay", "must be >= 0")
+        need(self.cw_min >= 1, "cw_min", "must be >= 1")
         need(0 <= self.v_min <= self.v_max, "v_min", "need 0 <= v_min <= v_max")
         need(self.pause_max >= 0, "pause_max", "must be >= 0")
         need(self.mobility_tick > 0, "tick", "must be > 0")
         need(self.traffic_rate >= 0, "rate", "must be >= 0")
         need(self.traffic_payload > 0, "payload", "must be > 0")
+        need(self.hello_interval > 0, "hello_interval", "must be > 0")
+        need(self.tc_interval > 0, "tc_interval", "must be > 0")
         need(self.nst >= 1, "nst", "must be >= 1")
         need(0 <= self.x < self.nst, "x", "need 0 <= x < nst")
         need(self.t_osc > 0, "t_osc", "must be > 0")
@@ -132,6 +135,9 @@ class ScenarioConfig:
         need(self.c_p > 0, "c_p", "must be > 0")
         need(self.adversary.behavior in ATTACKS, "adversary.behavior",
              f"must be one of {ATTACKS}")
+        need(self.adversary.period > 0, "adversary.period", "must be > 0")
+        need(self.adversary.target_phase in ("p-phase", "r-phase"),
+             "adversary.target_phase", "must be p-phase or r-phase")
         for i in self.adversary.nodes:
             need(0 <= i < self.n, "adversary.nodes", "ids must be < nodes")
         area = self.build_area()

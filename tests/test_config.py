@@ -50,6 +50,15 @@ def test_obstacle_parsing():
     ("[scenario]\nprotocol = ospf\n", "protocol"),
     ("[scenario]\nsecurity = tunnel\n", "security"),
     ("[area]\nwidth = 100\nheight = 100\nobstacles = -5,0,10,10\n", "obstacles"),
+    ("[olsr]\nhello_interval = 0\n", "hello_interval"),
+    ("[olsr]\ntc_interval = 0\n", "tc_interval"),
+    ("[adversary]\nperiod = 0\n", "period"),
+    ("[adversary]\ntarget_phase = bogus\n", "target_phase"),
+    ("[radio]\ncw_min = 0\n", "cw_min"),
+    ("[radio]\nideal_channel = maybe\n", "ideal_channel"),
+    ("[area]\nobstacles = 1,2,3\n", "obstacles"),
+    ("[traffic]\npattern = fixed-pairs\n", "pattern"),   # removed key
+    ("nodes = 5\n", "section headers"),
 ])
 def test_validation_errors_name_the_key(text, needle):
     with pytest.raises(ConfigError) as err:
@@ -97,6 +106,8 @@ def test_parse_sizes_forms():
     assert parse_sizes("4,8,15") == (4, 8, 15)
     with pytest.raises(ConfigError):
         parse_sizes("10:5")
+    with pytest.raises(ConfigError):
+        parse_sizes("1:2:3:4")
 
 
 def test_sweep_enumeration_deterministic_order():
