@@ -189,3 +189,19 @@ def neighbor_map(positions, radius, area):
             out[a].append(b)
             out[b].append(a)
     return out
+
+
+def hop_distances(neighbours, src):
+    """BFS hop count from src to every node it reaches; neighbours(u) gives
+    u's neighbours."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in neighbours(u):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist

@@ -108,14 +108,8 @@ class World:
         """True when the current neighbor graph is one component."""
         if not self.nodes:
             return True
-        seen = {self.nodes[0].id}
-        stack = [self.nodes[0].id]
-        while stack:
-            for m in self.neighbors(stack.pop()):
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return len(seen) == len([n for n in self.nodes if n.active])
+        reached = mob.hop_distances(self.neighbors, self.nodes[0].id)
+        return len(reached) == len([n for n in self.nodes if n.active])
 
     def _mobility_tick(self):
         dt = self.cfg.mobility_tick

@@ -8,6 +8,7 @@ from multiprocessing import get_context
 from . import metrics as mt
 from . import plotgen
 from .config import ScenarioConfig, SweepSpec, dump_config
+from .mobility import hop_distances
 from .network import World
 
 
@@ -123,22 +124,6 @@ def run_sweep(spec, out_dir=None, parallel=1):
         with open(os.path.join(out_dir, "manifest.ini"), "w") as fh:
             fh.write(dump_config(spec.base))
     return summaries, means
-
-
-def hop_distances(neighbours, src):
-    """BFS hop count from src to every node it reaches; neighbours(u) gives
-    u's neighbours."""
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in neighbours(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
 
 
 def graph_diameter(world):
