@@ -1,5 +1,6 @@
 """Golden digests: the sha256 of summary.csv and transitions.log for a small
-fixed grid of cells, and of trace.log for the cells run with the trace on.
+fixed grid of cells, and of trace.log for the cells run with the trace on,
+plus the sha256 of summary.csv, means.csv and cumulative.csv for one sweep.
 A change meant to keep the simulator's behaviour must leave every digest
 unchanged; a change that alters behaviour on purpose updates the table here
 and says why in CHANGES.md.
@@ -12,8 +13,8 @@ import os
 
 import pytest
 
-from emanetsim.config import ScenarioConfig
-from emanetsim.runner import run_scenario
+from emanetsim.config import PROTOCOLS, ScenarioConfig, SweepSpec
+from emanetsim.runner import run_scenario, run_sweep
 from emanetsim.security import AdversaryRole
 
 BASE = dict(duration=60.0, warmup=10.0, seed=1)
@@ -48,6 +49,23 @@ GOLDEN = {
     'olsr-n5': ('3720a73c183183b9db1733ef7f22c2f00c3e17c9b1e096f6a4e7db92fc5b2ce3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
 }
 
+# 48 runs; the sparse traffic leaves some cells without deliveries, so the
+# sweep writes NaN means and takes the NaN-as-zero cumulative path.
+SWEEP = SweepSpec(base=ScenarioConfig(duration=60.0, warmup=10.0,
+                                      traffic_rate=0.1),
+                  sizes=(2, 5, 10), seeds=(1, 2), protocols=PROTOCOLS,
+                  security_modes=("none", "hybrid"))
+SWEEP_FILES = ("summary.csv", "means.csv", "cumulative.csv")
+SWEEP_GOLDEN = (
+    '35951ab900d686df81beaad1726d14129e01b4f2baa67c6f4ff9aee3d10e5446',
+    '0684193f6a416987d8c0413f74a92ad4b49235dacd8642347417ae2287ae5f98',
+    '09895c8ed28f1c59464eaa1c64dd1648aaed301d1523e8d4484d6d568ffbf45b')
+
+
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
 
 def cell_digests(name, out_dir):
     cfg = ScenarioConfig(**BASE, **CELLS[name]).validate()
@@ -55,11 +73,12 @@ def cell_digests(name, out_dir):
     paths = ["summary.csv", os.path.join("run", "transitions.log")]
     if cfg.trace:
         paths.append(os.path.join("run", "trace.log"))
-    digests = []
-    for path in paths:
-        with open(os.path.join(out_dir, path), "rb") as fh:
-            digests.append(hashlib.sha256(fh.read()).hexdigest())
-    return tuple(digests)
+    return tuple(sha256_of(os.path.join(out_dir, p)) for p in paths)
+
+
+def sweep_digests(out_dir):
+    run_sweep(SWEEP, out_dir=out_dir)
+    return tuple(sha256_of(os.path.join(out_dir, p)) for p in SWEEP_FILES)
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))
@@ -67,8 +86,14 @@ def test_golden_digests(name, tmp_path):
     assert cell_digests(name, str(tmp_path)) == GOLDEN[name]
 
 
+def test_golden_sweep_digests(tmp_path):
+    assert sweep_digests(str(tmp_path)) == SWEEP_GOLDEN
+
+
 if __name__ == "__main__":
     import tempfile
     for name in sorted(CELLS):
         with tempfile.TemporaryDirectory() as tmp:
             print(f"    {name!r}: {cell_digests(name, tmp)!r},")
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f"SWEEP_GOLDEN = {sweep_digests(tmp)!r}")

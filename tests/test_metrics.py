@@ -161,11 +161,17 @@ def test_cumulative_rows_group_and_accumulate():
         {"protocol": "olsr", "security_mode": "none", "N": 10, "avg_delay_s": 2.0,
          "avg_jitter_s": 0.2, "ctl_packets": 20.0, "ctl_bytes": 200.0,
          "goodput_ratio": 1.0},
+        # an empty cell: its NaN means add 0, so the sums carry over unchanged
+        {"protocol": "olsr", "security_mode": "none", "N": 15,
+         "avg_delay_s": math.nan, "avg_jitter_s": math.nan, "ctl_packets": 5.0,
+         "ctl_bytes": 50.0, "goodput_ratio": math.nan},
     ]
     out = cumulative_rows(rows)
     assert out[0][:3] == ["olsr", "none", "5"]
     assert float(out[1][3]) == pytest.approx(3.0)
     assert float(out[1][6]) == pytest.approx(300.0)
+    assert out[2] == ["olsr", "none", "15", "3.000000000", "0.300000000",
+                      "35.000", "350.000", "3.000000000"]
 
 
 def test_csv_schema_golden(tmp_path):
