@@ -7,22 +7,33 @@ from dataclasses import dataclass, field
 
 from . import packets
 
-CSV_HEADER = [
-    "protocol", "security_mode", "N", "seed", "avg_delay_s", "avg_jitter_s",
-    "ctl_packets", "ctl_bytes", "data_sent", "data_delivered",
-    "goodput_ratio", "phase_shifts",
-]
+# Per-run metrics: (CSV column, RunSummary attribute, format spec in
+# summary.csv, where "" writes a count as str() does). means.csv gives each
+# column's seed mean with 9 decimals.
+METRICS = (
+    ("avg_delay_s", "avg_delay", ".9f"),
+    ("avg_jitter_s", "avg_jitter", ".9f"),
+    ("ctl_packets", "routing_load_packets", ""),
+    ("ctl_bytes", "routing_load_bytes", ""),
+    ("data_sent", "data_packets_sent", ""),
+    ("data_delivered", "data_packets_delivered", ""),
+    ("goodput_ratio", "goodput_ratio", ".9f"),
+    ("phase_shifts", "phase_shifts", ""),
+)
 
-MEANS_HEADER = [
-    "protocol", "security_mode", "N", "avg_delay_s", "avg_jitter_s",
-    "ctl_packets", "ctl_bytes", "data_sent", "data_delivered",
-    "goodput_ratio", "phase_shifts",
-]
+# cumulative.csv: (column, means.csv column summed over N, format)
+CUMULATIVE = (
+    ("cum_delay_s", "avg_delay_s", ".9f"),
+    ("cum_jitter_s", "avg_jitter_s", ".9f"),
+    ("cum_ctl_packets", "ctl_packets", ".3f"),
+    ("cum_ctl_bytes", "ctl_bytes", ".3f"),
+    ("cum_goodput_ratio", "goodput_ratio", ".9f"),
+)
 
-CUMULATIVE_HEADER = [
-    "protocol", "security_mode", "N", "cum_delay_s", "cum_jitter_s",
-    "cum_ctl_packets", "cum_ctl_bytes", "cum_goodput_ratio",
-]
+KEY_HEADER = ["protocol", "security_mode", "N"]
+CSV_HEADER = KEY_HEADER + ["seed"] + [col for col, _, _ in METRICS]
+MEANS_HEADER = KEY_HEADER + [col for col, _, _ in METRICS]
+CUMULATIVE_HEADER = KEY_HEADER + [col for col, _, _ in CUMULATIVE]
 
 
 @dataclass
@@ -61,13 +72,9 @@ class RunSummary:
     phase_shifts: int
 
     def csv_row(self):
-        return [
-            self.protocol, self.security_mode, str(self.network_size),
-            str(self.seed), f"{self.avg_delay:.9f}", f"{self.avg_jitter:.9f}",
-            str(self.routing_load_packets), str(self.routing_load_bytes),
-            str(self.data_packets_sent), str(self.data_packets_delivered),
-            f"{self.goodput_ratio:.9f}", str(self.phase_shifts),
-        ]
+        return [self.protocol, self.security_mode, str(self.network_size),
+                str(self.seed)] + [format(getattr(self, attr), fmt)
+                                   for _, attr, fmt in METRICS]
 
 
 def _jitter(recs):
@@ -194,52 +201,27 @@ def write_means_csv(mean_rows, path):
     written with 9 decimals."""
     write_csv(path, MEANS_HEADER,
               ([r["protocol"], r["security_mode"], str(r["N"])]
-               + [f"{r[c]:.9f}" for c in MEANS_HEADER[3:]] for r in mean_rows))
+               + [f"{r[col]:.9f}" for col, _, _ in METRICS] for r in mean_rows))
 
 
-def cumulate(series):
-    """Running prefix sums of a per-size metric series.
-
-    series: list of (N, value) sorted by N. NaN values are treated as 0 so a
-    single empty cell does not poison the whole cumulative curve.
-    """
-    out = []
-    total = 0.0
-    for n, v in series:
-        if v == v:  # not NaN
-            total += v
-        out.append((n, total))
-    return out
-
-
-def cumulative_rows(mean_summaries):
-    """Cumulative series per (protocol, mode) from per-size seed-mean metrics.
-
-    mean_summaries: list of dicts with keys protocol, security_mode, N,
-    avg_delay_s, avg_jitter_s, ctl_packets, ctl_bytes, goodput_ratio, in
-    deterministic order.
-    """
+def cumulative_rows(mean_rows):
+    """Prefix sums over N, per (protocol, mode), of the seed means named in
+    CUMULATIVE. mean_rows: seed_means dicts. A NaN mean adds 0, so one
+    empty cell does not poison the whole curve."""
     groups = {}
-    for row in mean_summaries:
+    for row in mean_rows:
         groups.setdefault((row["protocol"], row["security_mode"]), []).append(row)
     out = []
     for (proto, mode), rows in sorted(groups.items()):
-        rows = sorted(rows, key=lambda r: r["N"])
-        cums = {k: 0.0 for k in ("avg_delay_s", "avg_jitter_s", "ctl_packets",
-                                 "ctl_bytes", "goodput_ratio")}
-        for r in rows:
-            for k in cums:
-                v = r[k]
-                if v == v:
-                    cums[k] += v
-            out.append([
-                proto, mode, str(r["N"]),
-                f"{cums['avg_delay_s']:.9f}", f"{cums['avg_jitter_s']:.9f}",
-                f"{cums['ctl_packets']:.3f}", f"{cums['ctl_bytes']:.3f}",
-                f"{cums['goodput_ratio']:.9f}",
-            ])
+        sums = [0.0] * len(CUMULATIVE)
+        for r in sorted(rows, key=lambda r: r["N"]):
+            for i, (_, col, _) in enumerate(CUMULATIVE):
+                if r[col] == r[col]:  # not NaN
+                    sums[i] += r[col]
+            out.append([proto, mode, str(r["N"])]
+                       + [format(v, fmt) for v, (_, _, fmt) in zip(sums, CUMULATIVE)])
     return out
 
 
-def write_cumulative_csv(mean_summaries, path):
-    write_csv(path, CUMULATIVE_HEADER, cumulative_rows(mean_summaries))
+def write_cumulative_csv(mean_rows, path):
+    write_csv(path, CUMULATIVE_HEADER, cumulative_rows(mean_rows))

@@ -73,36 +73,18 @@ def run_cells(cells, parallel=1):
 
 
 def seed_means(summaries):
-    """Per-(protocol, mode, N) means over seeds, NaN-aware, ordered."""
+    """Per-(protocol, mode, N) means over seeds of every metrics.METRICS
+    column, NaN-aware, in order of first appearance."""
     groups = {}
-    order = []
     for s in summaries:
-        key = (s.protocol, s.security_mode, s.network_size)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(s)
+        groups.setdefault((s.protocol, s.security_mode, s.network_size), []).append(s)
     rows = []
-    for key in order:
-        group = groups[key]
-
-        def mean_of(vals):
-            vals = [v for v in vals if v == v]
-            return sum(vals) / len(vals) if vals else float("nan")
-
-        rows.append({
-            "protocol": key[0],
-            "security_mode": key[1],
-            "N": key[2],
-            "avg_delay_s": mean_of([s.avg_delay for s in group]),
-            "avg_jitter_s": mean_of([s.avg_jitter for s in group]),
-            "ctl_packets": mean_of([float(s.routing_load_packets) for s in group]),
-            "ctl_bytes": mean_of([float(s.routing_load_bytes) for s in group]),
-            "data_sent": mean_of([float(s.data_packets_sent) for s in group]),
-            "data_delivered": mean_of([float(s.data_packets_delivered) for s in group]),
-            "goodput_ratio": mean_of([s.goodput_ratio for s in group]),
-            "phase_shifts": mean_of([float(s.phase_shifts) for s in group]),
-        })
+    for (protocol, mode, n), group in groups.items():
+        row = {"protocol": protocol, "security_mode": mode, "N": n}
+        for col, attr, _ in mt.METRICS:
+            vals = [v for v in (float(getattr(s, attr)) for s in group) if v == v]
+            row[col] = sum(vals) / len(vals) if vals else float("nan")
+        rows.append(row)
     return rows
 
 

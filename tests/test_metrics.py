@@ -4,8 +4,8 @@ import pytest
 
 from emanetsim.config import ScenarioConfig
 from emanetsim.kernel import RandomStream
-from emanetsim.metrics import (CSV_HEADER, MetricLog, _jitter, cumulate,
-                               cumulative_rows, write_summary_csv)
+from emanetsim.metrics import (CSV_HEADER, MetricLog, _jitter, cumulative_rows,
+                               write_summary_csv)
 from emanetsim.network import World
 
 
@@ -144,13 +144,6 @@ def test_summarize_handbuilt_two_flows():
     # per-flow jitters: a: |30-10| = 20 ms, b: 0 -> mean 10 ms
     assert s.avg_jitter == pytest.approx(0.010)
     assert s.data_packets_delivered == 4
-
-
-def test_cumulate_prefix_sums():
-    assert cumulate([(5, 1.0), (10, 2.0), (15, 3.0)]) == [(5, 1.0), (10, 3.0), (15, 6.0)]
-    assert cumulate([(5, 4.0)]) == [(5, 4.0)]
-    vals = cumulate([(5, 0.5), (10, 0.0), (15, 2.0)])
-    assert all(b[1] >= a[1] for a, b in zip(vals, vals[1:]))
 
 
 def test_cumulative_rows_group_and_accumulate():
