@@ -120,14 +120,22 @@ class ScenarioConfig:
         need(self.radius > 0, "radius", "must be > 0")
         need(self.bandwidth_bps > 0, "bandwidth", "must be > 0")
         need(self.processing_delay >= 0, "processing_delay", "must be >= 0")
+        need(self.mac_overhead_bytes >= 0, "mac_overhead", "must be >= 0")
+        need(self.difs >= 0, "difs", "must be >= 0")
+        need(self.slot_time >= 0, "slot", "must be >= 0")
+        need(self.broadcast_jitter >= 0, "broadcast_jitter", "must be >= 0")
+        need(self.hcreq_jitter >= 0, "hcreq_jitter", "must be >= 0")
         need(self.cw_min >= 1, "cw_min", "must be >= 1")
         need(0 <= self.v_min <= self.v_max, "v_min", "need 0 <= v_min <= v_max")
         need(self.pause_max >= 0, "pause_max", "must be >= 0")
         need(self.mobility_tick > 0, "tick", "must be > 0")
         need(self.traffic_rate >= 0, "rate", "must be >= 0")
         need(self.traffic_payload > 0, "payload", "must be > 0")
+        need(self.traffic_start >= 0, "start", "must be >= 0")
         need(self.hello_interval > 0, "hello_interval", "must be > 0")
         need(self.tc_interval > 0, "tc_interval", "must be > 0")
+        need(self.node_traversal_time >= 0, "node_traversal_time", "must be >= 0")
+        need(self.net_diameter >= 0, "net_diameter", "must be >= 0")
         need(self.nst >= 1, "nst", "must be >= 1")
         need(0 <= self.x < self.nst, "x", "need 0 <= x < nst")
         need(self.t_osc > 0, "t_osc", "must be > 0")

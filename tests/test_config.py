@@ -55,6 +55,14 @@ def test_obstacle_parsing():
     ("[adversary]\nperiod = 0\n", "period"),
     ("[adversary]\ntarget_phase = bogus\n", "target_phase"),
     ("[radio]\ncw_min = 0\n", "cw_min"),
+    ("[traffic]\nstart = -1\n", "start"),
+    ("[radio]\nslot = -0.01\n", "slot"),
+    ("[radio]\ndifs = -1\n", "difs"),
+    ("[radio]\nbroadcast_jitter = -1\n", "broadcast_jitter"),
+    ("[radio]\nhcreq_jitter = -1\n", "hcreq_jitter"),
+    ("[radio]\nmac_overhead = -100\n", "mac_overhead"),
+    ("[aodv]\nnode_traversal_time = -1\n", "node_traversal_time"),
+    ("[aodv]\nnet_diameter = -1\n", "net_diameter"),
     ("[radio]\nideal_channel = maybe\n", "ideal_channel"),
     ("[area]\nobstacles = 1,2,3\n", "obstacles"),
     ("[traffic]\npattern = fixed-pairs\n", "pattern"),   # removed key
