@@ -117,7 +117,6 @@ class AodvNode:
         self.world = world
         self.node = node
         self.cfg = world.cfg
-        self.enabled = True
         self.routes = {}
         self.own_seq = 0
         self.seen_rreqs = {}
@@ -152,15 +151,6 @@ class AodvNode:
         route = Route(next_hop, hops, dest_seq, now + self.cfg.route_lifetime)
         self.routes[dest] = route
         return route
-
-    def max_known_hops(self):
-        """Largest hop count among currently valid routes (0 if none)."""
-        now = self.world.kernel.now
-        best = 0
-        for route in self.routes.values():
-            if route.expiry > now and route.hops > best:
-                best = route.hops
-        return best
 
     # -- discovery ------------------------------------------------------------
 

@@ -51,7 +51,7 @@ class CmlNode:
         self._cp_seen = {}
         self._hcreq_seen = {}
         self._probe_counter = 0
-        # echo probe id -> (parent origin, parent probe id, expiry)
+        # echo probe id -> (parent origin, parent probe id)
         self._echoes = {}
         # (origin, probe_id) -> replies already forwarded on; a small cap keeps
         # redundancy against reply loss without relaying every duplicate
@@ -67,8 +67,6 @@ class CmlNode:
     # -- lifecycle ----------------------------------------------------------
 
     def boot(self):
-        self.olsr.enabled = True
-        self.aodv.enabled = False
         self.olsr.boot()
         self.aodv.boot()
 
@@ -185,16 +183,9 @@ class CmlNode:
         self._cancel_o_state()
         self.phase = target
         self._arm_timer()
-        if target == P_PHASE:
-            self.olsr.enabled = True
-            self.olsr.reset()
-            self.aodv.enabled = False
-            self.aodv.reset()
-        else:
-            self.aodv.enabled = True
-            self.aodv.reset()
-            self.olsr.enabled = False
-            self.olsr.reset()
+        self.olsr.enabled = target == P_PHASE
+        self.olsr.reset()
+        self.aodv.reset()
         self.world.log_transition(self.node.id, frm_stable, target, trigger)
         if broadcast:
             self.cp_seq += 1
@@ -227,7 +218,7 @@ class CmlNode:
             if self.olsr.enabled:
                 self.olsr.on_frame(frame, prev_hop)
         elif kind in (pk.RREQ, pk.RREP):
-            if self.aodv.enabled:
+            if not self.olsr.enabled:
                 self.aodv.on_frame(frame, prev_hop)
         elif kind == pk.DATA:
             engine = self.olsr if self.stable_phase == P_PHASE else self.aodv
@@ -303,8 +294,7 @@ class CmlNode:
         if first and not msg.is_echo:
             self._probe_counter += 1
             pid = self._probe_counter
-            self._echoes[pid] = (msg.origin, msg.probe_id,
-                                 now + self.cfg.seen_lifetime)
+            self._echoes[pid] = (msg.origin, msg.probe_id)
             echo = pk.HcReqMsg(origin=self.node.id, probe_id=pid,
                                ttl=self._effective_nht(), is_echo=True,
                                echo_parent=key)
@@ -337,7 +327,7 @@ class CmlNode:
             return
         echo = self._echoes.pop(msg.probe_id, None)
         if echo is not None:
-            parent_origin, parent_probe, _ = echo
+            parent_origin, parent_probe = echo
             fwd = pk.HcRepMsg(responder=msg.responder, origin=parent_origin,
                               probe_id=parent_probe, is_echo_reply=True)
             self._send_hcrep(fwd)

@@ -116,7 +116,6 @@ def test_tampered_probes_disrupt_unprotected_network():
             d = node.driver
             d.phase = "r-phase"
             d.olsr.enabled = False
-            d.aodv.enabled = True
             d.osc_until = -1.0
             d._foreign_probe_until = -1.0
         world.kernel.run_until(10.0)

@@ -217,12 +217,3 @@ def test_loop_freedom_of_installed_routes():
                 at = route.next_hop
                 assert at not in hops, (start, dest, hops)
                 hops.append(at)
-
-
-def test_max_known_hops_tracks_valid_routes():
-    world = aodv_world(chain_positions(4))
-    drv = world.nodes[0].driver
-    assert drv.max_known_hops() == 0
-    send(world, 0, 3)
-    world.kernel.run_until(3.0)
-    assert drv.max_known_hops() == 3

@@ -21,7 +21,6 @@ def force_r_phase(world):
         d = node.driver
         d.phase = R_PHASE
         d.olsr.enabled = False
-        d.aodv.enabled = True
         d.osc_until = -1.0
         d._foreign_probe_until = -1.0
 
@@ -394,8 +393,7 @@ def test_shift_cold_starts_engines():
     d0 = drv(world, 0)
     assert d0.olsr.one_hop  # warmed up
     d0._shift(R_PHASE, "test")
-    assert not d0.olsr.enabled
-    assert d0.aodv.enabled
+    assert not d0.olsr.enabled   # RREQ/RREP go to the AODV engine
     assert not d0.olsr.one_hop   # cold start forgets proactive state
     assert not d0.aodv.routes
 
