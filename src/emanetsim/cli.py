@@ -3,14 +3,13 @@ calibrate the size-estimate constant, run attack presets, or run the
 acceptance suite."""
 
 import argparse
-import os
 import sys
 
 from . import acceptance
-from .config import (ConfigError, ScenarioConfig, SweepSpec, load_config,
-                     parse_sizes)
+from .config import (PROTOCOLS, ConfigError, ScenarioConfig, SweepSpec,
+                     load_config, parse_sizes)
 from .runner import calibrate_k, run_scenario, run_sweep
-from .security import AdversaryRole
+from .security import ATTACK_NONE, ATTACKS, AdversaryRole
 
 
 def add_common(p):
@@ -110,7 +109,7 @@ def main(argv=None):
     add_common(p)
     p.add_argument("--sizes", default="5:50:5", help="lo:hi[:step] or list")
     p.add_argument("--seeds", type=int, default=5, help="seeds per cell")
-    p.add_argument("--protocols", default="olsr,aodv,dsr,cml")
+    p.add_argument("--protocols", default=",".join(PROTOCOLS))
     p.add_argument("--security", default="none", help="comma-separated modes")
     p.add_argument("--parallel", type=int, default=1, help="worker processes")
     p.set_defaults(fn=cmd_sweep)
@@ -124,7 +123,7 @@ def main(argv=None):
     p = sub.add_parser("attack", help="adversary scenario preset")
     add_common(p)
     p.add_argument("--behavior", default="forge-cp",
-                   choices=["forge-cp", "oscillate", "tamper-hcreq", "drop-cp"])
+                   choices=[a for a in ATTACKS if a != ATTACK_NONE])
     p.add_argument("--nodes", type=int, nargs="*", help="adversary node ids")
     p.add_argument("--period", type=float, default=40.0)
     p.add_argument("--target-phase", default="r-phase",
