@@ -21,7 +21,7 @@ BASE = dict(duration=60.0, warmup=10.0, seed=1)
 
 CELLS = {f"{p}-n{n}": dict(protocol=p, n=n)
          for p in ("olsr", "aodv", "dsr", "cml") for n in (5, 20)}
-for name in ("aodv-n20", "dsr-n20"):
+for name in ("aodv-n20", "dsr-n20", "olsr-n20"):
     CELLS[name]["trace"] = True
 CELLS["cml-n20-hybrid"] = dict(protocol="cml", n=20, security_mode="hybrid",
                                trace=True)
@@ -45,7 +45,7 @@ GOLDEN = {
     'cml-n5': ('49c7f8a2ddbbca6aebd99dfd75d7a69b3c2361aa2a53e082aea3709a1d7221c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'dsr-n20': ('a5d79a8f41e6119b76cfa65c8166355e020a29ae46a47c57be14d6c823b87923', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '0715c76816d9d4b5fa26efd6e207476a04364052f96a4e25fce715aa6a5ad9d5'),
     'dsr-n5': ('0a58d34c7a551d4ed9ef02a1235542e13502e0be6562f943dce94bb59cb7b690', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'olsr-n20': ('d6792e4e6ee0e431f186560fb966c7e6081965d4ed24d84288b9c651aaac642f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'olsr-n20': ('d6792e4e6ee0e431f186560fb966c7e6081965d4ed24d84288b9c651aaac642f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '7ff319bddf0312b5beec03d5b864777fb2e667262eeb226883c3464bdc4525a4'),
     'olsr-n5': ('3720a73c183183b9db1733ef7f22c2f00c3e17c9b1e096f6a4e7db92fc5b2ce3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
 }
 
