@@ -51,8 +51,11 @@ class Discovery:
     within the net traversal time the request floods again under a fresh id,
     up to rreq_retries times, and then the buffered data is dropped.
 
-    flood(dest, rreq_id) is the engine's own part: it marks the request seen
-    and broadcasts its request message.
+    It also keeps the duplicate table (RFC 3561 6.5): (origin, rreq_id) ->
+    the time until which further copies of that request are ignored.
+
+    flood(dest, rreq_id) is the engine's own part: it broadcasts its request
+    message.
     """
 
     def __init__(self, world, node, flood, detail):
@@ -62,6 +65,7 @@ class Discovery:
         self.detail = detail  # the timer events' trace detail
         self.rreq_counter = 0
         self.pending = {}  # dest -> _Request
+        self.seen = {}
 
     def buffer(self, msg):
         """Hold msg until a route to msg.dst is found, starting a discovery
@@ -76,8 +80,20 @@ class Discovery:
         else:
             self.world.data_dropped(msg, "buffer-full")
 
+    def first_copy(self, origin, rreq_id):
+        """True unless request (origin, rreq_id) was seen within
+        seen_lifetime; either way it is marked seen from now."""
+        now = self.world.kernel.now
+        key = (origin, rreq_id)
+        seen_until = self.seen.get(key)
+        if seen_until is not None and seen_until > now:
+            return False
+        self.seen[key] = now + self.world.cfg.seen_lifetime
+        return True
+
     def _flood(self, dest, req):
         self.rreq_counter += 1
+        self.first_copy(self.node.id, self.rreq_counter)
         self.flood(dest, self.rreq_counter)
         req.timer = self.world.kernel.schedule_in(
             net_traversal_time(self.world.cfg), lambda: self._timeout(dest),
@@ -108,6 +124,7 @@ class Discovery:
             for msg in req.packets:
                 self.world.data_dropped(msg, "engine-reset")
         self.pending.clear()
+        self.seen.clear()
 
 
 class AodvNode:
@@ -119,7 +136,6 @@ class AodvNode:
         self.cfg = world.cfg
         self.routes = {}
         self.own_seq = 0
-        self.seen_rreqs = {}
         self.discovery = Discovery(world, node, self._flood_rreq, "rreq-timeout")
         self.on_rrep_at_source = None  # hook(total_hops) for the adaptive layer
 
@@ -129,7 +145,6 @@ class AodvNode:
     def reset(self):
         self.discovery.reset()
         self.routes.clear()
-        self.seen_rreqs.clear()
 
     def net_traversal_time(self):
         return net_traversal_time(self.cfg)
@@ -164,8 +179,6 @@ class AodvNode:
         self.discovery.buffer(msg)
 
     def _flood_rreq(self, dest, rreq_id):
-        self.seen_rreqs[(self.node.id, rreq_id)] = \
-            self.world.kernel.now + self.cfg.seen_lifetime
         self.world.broadcast(self.node, pk.RREQ, pk.RreqMsg(
             origin=self.node.id, destination=dest, rreq_id=rreq_id,
             origin_sequence=self.own_seq, hop_count=0))
@@ -182,13 +195,8 @@ class AodvNode:
 
     def process_rreq(self, frame, prev_hop):
         msg = frame.msg
-        now = self.world.kernel.now
-        key = (msg.origin, msg.rreq_id)
-        seen_until = self.seen_rreqs.get(key)
-        if seen_until is not None and seen_until > now:
-            return
-        self.seen_rreqs[key] = now + self.cfg.seen_lifetime
-        if msg.origin == self.node.id:
+        if not self.discovery.first_copy(msg.origin, msg.rreq_id) \
+                or msg.origin == self.node.id:
             return
         self._install(msg.origin, prev_hop, msg.hop_count + 1, msg.origin_sequence)
         if msg.destination == self.node.id:

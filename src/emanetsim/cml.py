@@ -329,7 +329,7 @@ class CmlNode:
         if echo is not None:
             parent_origin, parent_probe = echo
             fwd = pk.HcRepMsg(responder=msg.responder, origin=parent_origin,
-                              probe_id=parent_probe, is_echo_reply=True)
+                              probe_id=parent_probe)
             self._send_hcrep(fwd)
             return
         st = self._probe

@@ -19,7 +19,6 @@ class DsrNode:
         self.cfg = world.cfg
         # dest -> list of (path tuple self..dest, expiry)
         self.cache = {}
-        self.seen = {}
         self.discovery = Discovery(world, node, self._flood_rreq, "dsr-timeout")
 
     def boot(self):
@@ -27,7 +26,6 @@ class DsrNode:
 
     def reset(self):
         self.cache.clear()
-        self.seen.clear()
         self.discovery.reset()
 
     # -- cache ----------------------------------------------------------------
@@ -80,8 +78,6 @@ class DsrNode:
         self.discovery.buffer(msg)
 
     def _flood_rreq(self, dest, rreq_id):
-        self.seen[(self.node.id, rreq_id)] = \
-            self.world.kernel.now + self.cfg.seen_lifetime
         self.world.broadcast(self.node, pk.DSR_RREQ, pk.DsrRreqMsg(
             origin=self.node.id, destination=dest, rreq_id=rreq_id,
             route_record=(self.node.id,)))
@@ -100,14 +96,9 @@ class DsrNode:
 
     def process_rreq(self, frame, prev_hop):
         msg = frame.msg
-        now = self.world.kernel.now
-        if self.node.id in msg.route_record:
+        if self.node.id in msg.route_record \
+                or not self.discovery.first_copy(msg.origin, msg.rreq_id):
             return
-        key = (msg.origin, msg.rreq_id)
-        seen_until = self.seen.get(key)
-        if seen_until is not None and seen_until > now:
-            return
-        self.seen[key] = now + self.cfg.seen_lifetime
         if msg.destination == self.node.id:
             route = msg.route_record + (self.node.id,)
             reply = pk.DsrRrepMsg(origin=self.node.id, destination=msg.origin,

@@ -88,40 +88,25 @@ class EventKernel:
         return self.dispatched - before
 
 
-class RandomStream:
+class RandomStream(random.Random):
     """Seeded pseudo-random stream with deterministic, named substreams.
 
-    Substreams are seeded from the string "<path>/<label>", which CPython's
-    random.seed hashes with sha512, so draw sequences are identical across
-    runs and platforms. Forking per (node, purpose) keeps each stream's
-    sequence of values independent of the draws made on every other stream.
-    Which event receives which value still follows the order of the draws:
-    relay jitters are drawn in frame arrival order, so anything that moves
+    A stream is seeded from the string of its seed, and a substream from the
+    string "<path>/<label>"; CPython's random.seed hashes strings with
+    sha512, so draw sequences are identical across runs and platforms.
+    Forking per (node, purpose) keeps each stream's sequence of values
+    independent of the draws made on every other stream. Which event
+    receives which value still follows the order of the draws: relay
+    jitters are drawn in frame arrival order, so anything that moves
     arrivals at a node, such as another security mode, re-assigns them.
+
+    Streams do not unpickle, since Random rebuilds its class without a
+    seed; worker processes receive configs, never streams.
     """
 
-    def __init__(self, seed, _path=None):
-        self.seed = seed
-        self._path = str(seed) if _path is None else _path
-        self._rng = random.Random(self._path)
+    def __init__(self, seed):
+        self._path = str(seed)
+        super().__init__(self._path)
 
     def fork(self, label):
-        return RandomStream(self.seed, f"{self._path}/{label}")
-
-    def random(self):
-        return self._rng.random()
-
-    def uniform(self, a, b):
-        return self._rng.uniform(a, b)
-
-    def randrange(self, n):
-        return self._rng.randrange(n)
-
-    def randint(self, a, b):
-        return self._rng.randint(a, b)
-
-    def sample(self, seq, k):
-        return self._rng.sample(seq, k)
-
-    def shuffle(self, seq):
-        self._rng.shuffle(seq)
+        return RandomStream(f"{self._path}/{label}")

@@ -87,7 +87,7 @@ class World:
         self._neighbors = {}
         self.refresh_links()
 
-        # (wire size, security mode) -> apply_security's cost triple
+        # message size -> apply_security's cost triple in this run's mode
         self._crypto_costs = {}
         self._authenticates = sec.authenticates(cfg.security_mode)
 
@@ -124,14 +124,12 @@ class World:
     def broadcast(self, node, kind, msg, sec_valid=True, adversary_origin=False):
         self._enqueue(node, pk.Frame(kind=kind, msg=msg, sender=node.id,
                                      receiver=None,
-                                     sec_mode=self.cfg.security_mode,
                                      sec_valid=sec_valid,
                                      adversary_origin=adversary_origin))
 
     def unicast(self, node, receiver, kind, msg, sec_valid=True, adversary_origin=False):
         self._enqueue(node, pk.Frame(kind=kind, msg=msg, sender=node.id,
                                      receiver=receiver,
-                                     sec_mode=self.cfg.security_mode,
                                      sec_valid=sec_valid,
                                      adversary_origin=adversary_origin))
 
@@ -194,14 +192,13 @@ class World:
         frame = item.frame
         msg = frame.msg
         size = msg.wire_size()
-        cost_key = (size, frame.sec_mode)
-        cost = self._crypto_costs.get(cost_key)
+        cost = self._crypto_costs.get(size)
         if cost is None:
-            cost = self._crypto_costs[cost_key] = sec.apply_security(
-                size, frame.sec_mode, cfg.device)
+            cost = self._crypto_costs[size] = sec.apply_security(
+                size, cfg.security_mode, cfg.device)
         delta, snd_delay, rcv_delay = cost
-        frame.wire_bytes = size + delta
-        airtime = (frame.wire_bytes + cfg.mac_overhead_bytes) * 8.0 / cfg.bandwidth_bps
+        wire_bytes = size + delta
+        airtime = (wire_bytes + cfg.mac_overhead_bytes) * 8.0 / cfg.bandwidth_bps
 
         if frame.kind == pk.DATA:
             sr = msg.source_route
@@ -210,7 +207,7 @@ class World:
                                            now, count_packet=False)
             msg.crypto_delay += snd_delay
         else:
-            self.metrics.count_control(frame.kind, frame.wire_bytes, now)
+            self.metrics.count_control(frame.kind, wire_bytes, now)
 
         audible = self._neighbors.get(node.id, ())
         receiver = frame.receiver

@@ -98,20 +98,18 @@ class OlsrNode:
         self.node = node
         self.cfg = world.cfg
         self.enabled = True
-        # neighbor -> expiry
-        self.one_hop = {}
-        # neighbor -> (set of its neighbors, expiry)
-        self.two_hop = {}
+        # neighbor -> (set of its neighbors, expiry, whether it selected this
+        # node as an MPR)
+        self.links = {}
         self.mpr_set = set()
-        # selector -> expiry
-        self.mpr_selectors = {}
         # origin -> (advertised tuple, seq, expiry)
         self.topology = {}
         self.msg_seq = 0
         self._tc_seen = {}
         self._routes = {}
         # _dirty: an input of the route table changed since it was computed;
-        # _mprs_stale: one_hop or two_hop changed since the last MPR selection
+        # _mprs_stale: a neighbor or its neighbor set changed since the last
+        # MPR selection
         self._dirty = True
         self._mprs_stale = True
         # no table entry expires before this time
@@ -131,10 +129,8 @@ class OlsrNode:
 
     def reset(self):
         """Cold start: forget everything learned."""
-        self.one_hop.clear()
-        self.two_hop.clear()
+        self.links.clear()
         self.mpr_set.clear()
-        self.mpr_selectors.clear()
         self.topology.clear()
         self._tc_seen.clear()
         self._routes = {}
@@ -161,17 +157,17 @@ class OlsrNode:
     def emit_hello(self):
         self._purge()
         msg = pk.HelloMsg(origin=self.node.id,
-                          neighbor_list=tuple(sorted(self.one_hop)),
+                          neighbor_list=tuple(sorted(self.links)),
                           mpr_flags=frozenset(self.mpr_set))
         self.world.broadcast(self.node, pk.HELLO, msg)
 
     def emit_tc(self):
         self._purge()
-        if not self.mpr_selectors:
+        selectors = tuple(sorted(n for n, (_, _, sel) in self.links.items() if sel))
+        if not selectors:
             return
         self.msg_seq += 1
-        msg = pk.TcMsg(origin=self.node.id,
-                       advertised=tuple(sorted(self.mpr_selectors)),
+        msg = pk.TcMsg(origin=self.node.id, advertised=selectors,
                        sequence=self.msg_seq)
         self._tc_seen[self.node.id] = self.msg_seq
         self.world.broadcast(self.node, pk.TC, msg)
@@ -191,24 +187,17 @@ class OlsrNode:
         expiry = now + 3.0 * self.cfg.hello_interval
         others = set(msg.neighbor_list)
         others.discard(self.node.id)
-        # one_hop and two_hop share their keys, so this also catches a new
-        # neighbour
-        known = self.two_hop.get(sender)
+        known = self.links.get(sender)
         if known is None or known[0] != others:
             self._dirty = True
             self._mprs_stale = True
-        self.one_hop[sender] = expiry
-        self.two_hop[sender] = (others, expiry)
-        if self.node.id in msg.mpr_flags:
-            self.mpr_selectors[sender] = expiry
-        else:
-            self.mpr_selectors.pop(sender, None)
+        self.links[sender] = (others, expiry, self.node.id in msg.mpr_flags)
         if expiry < self._next_expiry:
             self._next_expiry = expiry
         self._purge()
         if self._mprs_stale:
-            self.mpr_set = select_mprs(self.one_hop,
-                                       {n: s for n, (s, _) in self.two_hop.items()})
+            self.mpr_set = select_mprs(self.links,
+                                       {n: s for n, (s, _, _) in self.links.items()})
             self._mprs_stale = False
 
     def process_tc(self, frame, sender):
@@ -228,7 +217,8 @@ class OlsrNode:
         if expiry < self._next_expiry:
             self._next_expiry = expiry
         # MPR flooding: relay only if the previous hop selected us
-        if sender in self.mpr_selectors:
+        link = self.links.get(sender)
+        if link is not None and link[2]:
             self.world.relay_after_jitter(self.node, frame.clone_for_relay(self.node.id),
                                           "tc")
         if self.on_tc_processed is not None:
@@ -241,21 +231,13 @@ class OlsrNode:
         if now < self._next_expiry:
             return
         nxt = float("inf")
-        # one_hop and two_hop entries share their expiry; routes never read
-        # mpr_selectors, so its expiries leave both flags alone
-        dead = [n for n, exp in self.one_hop.items() if exp <= now]
+        dead = [n for n, (_, exp, _) in self.links.items() if exp <= now]
         for n in dead:
-            del self.one_hop[n]
-            del self.two_hop[n]
+            del self.links[n]
         if dead:
             self._dirty = True
             self._mprs_stale = True
-        for exp in self.one_hop.values():
-            nxt = min(nxt, exp)
-        dead = [n for n, exp in self.mpr_selectors.items() if exp <= now]
-        for n in dead:
-            del self.mpr_selectors[n]
-        for exp in self.mpr_selectors.values():
+        for _, exp, _ in self.links.values():
             nxt = min(nxt, exp)
         dead = [o for o, (_, _, exp) in self.topology.items() if exp <= now]
         for o in dead:
@@ -270,11 +252,11 @@ class OlsrNode:
         self._purge()
         if not self._dirty:
             return self._routes
-        edges = {nbr: their for nbr, (their, _) in self.two_hop.items()}
+        edges = {nbr: their for nbr, (their, _, _) in self.links.items()}
         for origin, (advertised, _, _) in self.topology.items():
             their = edges.get(origin)
             edges[origin] = advertised if their is None else their.union(advertised)
-        self._routes = shortest_routes(self.node.id, self.one_hop, edges)
+        self._routes = shortest_routes(self.node.id, self.links, edges)
         self._dirty = False
         return self._routes
 

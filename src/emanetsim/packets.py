@@ -135,7 +135,6 @@ class HcRepMsg:
     responder: int
     origin: int    # node the reply is heading to
     probe_id: int  # probe this reply answers, at the current recipient
-    is_echo_reply: bool = False
 
     def wire_size(self):
         return HCREP_SIZE
@@ -163,15 +162,13 @@ class DataMsg:
 
 @dataclass
 class Frame:
-    """One on-air transmission: a message plus hop and security metadata."""
+    """One on-air transmission: a message plus hop and integrity metadata."""
     kind: str
     msg: object
     sender: int
     receiver: int = None        # None = broadcast to all current neighbors
-    sec_mode: str = "none"
     sec_valid: bool = True      # cleared for forged or tampered packets
     adversary_origin: bool = False
-    wire_bytes: int = 0         # filled at transmission time (incl. security delta)
 
     def clone_for_relay(self, sender, receiver=None, msg=None):
         return Frame(
@@ -179,7 +176,6 @@ class Frame:
             msg=self.msg if msg is None else msg,
             sender=sender,
             receiver=receiver,
-            sec_mode=self.sec_mode,
             sec_valid=self.sec_valid,
             adversary_origin=self.adversary_origin,
         )

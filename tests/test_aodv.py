@@ -73,16 +73,50 @@ def test_existing_route_skips_discovery():
     assert len(world.metrics.records) == 2
 
 
-def test_duplicate_rreq_not_rebroadcast():
-    world = aodv_world(chain_positions(3))
+def rreq_frame(protocol, origin, rreq_id, sender):
+    """A copy of request (origin, rreq_id) for 2, as sent by sender."""
+    if protocol == "aodv":
+        msg = pk.RreqMsg(origin=origin, destination=2, rreq_id=rreq_id,
+                         origin_sequence=1, hop_count=0)
+        return pk.Frame(kind=pk.RREQ, msg=msg, sender=sender)
+    record = (origin,) if origin == sender else (origin, sender)
+    msg = pk.DsrRreqMsg(origin=origin, destination=2, rreq_id=rreq_id,
+                        route_record=record)
+    return pk.Frame(kind=pk.DSR_RREQ, msg=msg, sender=sender)
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "dsr"])
+def test_duplicate_rreq_not_rebroadcast(protocol):
+    world = aodv_world(chain_positions(3), protocol=protocol)
     drv = world.nodes[1].driver
+    kernel = world.kernel
+    lifetime = world.cfg.seen_lifetime
     relayed = []
-    world.relay = lambda node, frame: relayed.append(frame)
-    msg = pk.RreqMsg(origin=0, destination=2, rreq_id=5, origin_sequence=1, hop_count=0)
-    drv.process_rreq(pk.Frame(kind=pk.RREQ, msg=msg, sender=0), 0)
-    drv.process_rreq(pk.Frame(kind=pk.RREQ, msg=msg, sender=0), 0)
-    world.kernel.run_until(1.0)
-    assert len(relayed) == 1
+    world.relay = lambda node, frame: relayed.append((node.id, frame.msg.origin,
+                                                      frame.msg.rreq_id))
+
+    def offer(origin, rreq_id):
+        drv.process_rreq(rreq_frame(protocol, origin, rreq_id, 0), 0)
+        kernel.run_until(kernel.now + 1.0)
+        return relayed.count((1, origin, rreq_id))
+
+    assert offer(0, 5) == 1
+    assert offer(0, 5) == 1
+    # a copy that arrives once seen_lifetime has lapsed is relayed again
+    kernel.run_until(lifetime)
+    assert offer(0, 5) == 2
+    # a node never relays its own request, within seen_lifetime or after it
+    send(world, 1, 2)
+    own_id = drv.discovery.rreq_counter
+    assert (1, own_id) in drv.discovery.seen
+    assert offer(1, own_id) == 0
+    kernel.run_until(kernel.now + lifetime)
+    assert offer(1, own_id) == 0
+    # reset forgets the table
+    assert offer(0, 6) == 1
+    drv.reset()
+    assert drv.discovery.seen == {}
+    assert offer(0, 6) == 2
 
 
 def test_rreq_hop_count_increments_per_relay():

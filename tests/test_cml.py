@@ -391,10 +391,10 @@ def test_shift_cold_starts_engines():
     world = cml_world(chain_positions(3))
     world.kernel.run_until(20.0)
     d0 = drv(world, 0)
-    assert d0.olsr.one_hop  # warmed up
+    assert d0.olsr.links  # warmed up
     d0._shift(R_PHASE, "test")
     assert not d0.olsr.enabled   # RREQ/RREP go to the AODV engine
-    assert not d0.olsr.one_hop   # cold start forgets proactive state
+    assert not d0.olsr.links     # cold start forgets proactive state
     assert not d0.aodv.routes
 
 

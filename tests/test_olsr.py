@@ -167,9 +167,9 @@ def test_hello_discovers_links_and_two_hop():
     world = make_world(chain_positions(3))
     converge(world, 10.0)
     a, b, c = (olsr_of(world, i) for i in range(3))
-    assert set(b.one_hop) == {0, 2}
-    assert set(a.one_hop) == {1}
-    assert 2 in a.two_hop[1][0]  # C visible via B
+    assert set(b.links) == {0, 2}
+    assert set(a.links) == {1}
+    assert 2 in a.links[1][0]  # C visible via B
 
 
 def test_isolated_node_emits_empty_hello():
@@ -200,7 +200,7 @@ def test_neighbor_expiry_removes_routes():
     world.nodes[1].active = False  # B stops emitting
     world.refresh_links()
     world.kernel.run_until(20.0 + 3 * world.cfg.hello_interval + 1.0)
-    assert 1 not in a.one_hop
+    assert 1 not in a.links
     assert a.next_hop(2) is None
     assert a.next_hop(1) is None
 
@@ -297,7 +297,7 @@ def test_tc_relay_economy_bounded_by_mpr_nodes():
         mpr_nodes |= olsr_of(world, node.id).mpr_set
     tx0 = world.metrics.control[pk.TC].count
     origins = sum(1 for node in world.nodes
-                  if olsr_of(world, node.id).mpr_selectors)
+                  if any(sel for _, _, sel in olsr_of(world, node.id).links.values()))
     world.kernel.run_until(world.kernel.now + world.cfg.tc_interval)
     emitted = world.metrics.control[pk.TC].count - tx0
     # per period: each origin transmits once, relays only from MPR nodes
@@ -319,18 +319,18 @@ def check_caches(monkeypatch, cfg):
     def checked_hello(node, msg, sender):
         process_hello(node, msg, sender)
         counts["hello"] += 1
-        two_map = {n: set(their) for n, (their, _) in node.two_hop.items()}
-        assert node.mpr_set == select_mprs(set(node.one_hop), two_map)
+        two_map = {n: set(their) for n, (their, _, _) in node.links.items()}
+        assert node.mpr_set == select_mprs(set(node.links), two_map)
 
     def checked_routes(node):
         routes = compute_routes(node)
         counts["routes"] += 1
         edges = {}
-        for nbr, (their, _) in node.two_hop.items():
+        for nbr, (their, _, _) in node.links.items():
             edges.setdefault(nbr, set()).update(their)
         for origin, (advertised, _, _) in node.topology.items():
             edges.setdefault(origin, set()).update(advertised)
-        expect = reference_shortest_routes(node.node.id, list(node.one_hop), edges)
+        expect = reference_shortest_routes(node.node.id, list(node.links), edges)
         assert list(routes.items()) == list(expect.items())
         return routes
 

@@ -115,8 +115,8 @@ def test_world_crypto_cost_cache_matches_apply_security(mode):
     world._transmit = recording_transmit
     world.run()
     assert len(sizes) > 3
-    assert set(world._crypto_costs) == {(size, mode) for size in sizes}
-    for (size, _), cost in world._crypto_costs.items():
+    assert set(world._crypto_costs) == sizes
+    for size, cost in world._crypto_costs.items():
         assert cost == sec.apply_security(size, mode, cfg.device)
 
 
