@@ -118,6 +118,9 @@ class ScenarioConfig:
         need(self.warmup >= 0, "warmup", "must be >= 0")
         need(self.duration > self.warmup, "duration", "must exceed warmup")
         need(self.radius > 0, "radius", "must be > 0")
+        need(self.width >= 0, "width", "must be >= 0 (0 sizes the area from nodes)")
+        need(self.height >= 0, "height", "must be >= 0 (0 sizes the area from nodes)")
+        need(self.area_scale > 0, "scale", "must be > 0")
         need(self.bandwidth_bps > 0, "bandwidth", "must be > 0")
         need(self.processing_delay >= 0, "processing_delay", "must be >= 0")
         need(self.mac_overhead_bytes >= 0, "mac_overhead", "must be >= 0")
@@ -136,6 +139,10 @@ class ScenarioConfig:
         need(self.tc_interval > 0, "tc_interval", "must be > 0")
         need(self.node_traversal_time >= 0, "node_traversal_time", "must be >= 0")
         need(self.net_diameter >= 0, "net_diameter", "must be >= 0")
+        need(self.route_lifetime > 0, "route_lifetime", "must be > 0")
+        need(self.seen_lifetime > 0, "seen_lifetime", "must be > 0")
+        need(self.cache_paths >= 1, "cache_paths", "must be >= 1")
+        need(self.cache_lifetime > 0, "cache_lifetime", "must be > 0")
         need(self.nst >= 1, "nst", "must be >= 1")
         need(0 <= self.x < self.nst, "x", "need 0 <= x < nst")
         need(self.t_osc > 0, "t_osc", "must be > 0")

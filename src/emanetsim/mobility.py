@@ -119,8 +119,8 @@ class MobilityModel:
         self.v_max = v_max
         self.pause_max = pause_max
 
-    def init_node(self, kin, stream, now=0.0):
-        kin.pause_until = now
+    def init_node(self, kin, stream):
+        """Draw the first leg of freshly placed kinematics."""
         self._new_leg(kin, stream)
 
     def _new_leg(self, kin, stream):

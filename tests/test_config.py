@@ -63,6 +63,13 @@ def test_obstacle_parsing():
     ("[radio]\nmac_overhead = -100\n", "mac_overhead"),
     ("[aodv]\nnode_traversal_time = -1\n", "node_traversal_time"),
     ("[aodv]\nnet_diameter = -1\n", "net_diameter"),
+    ("[aodv]\nseen_lifetime = -1\n", "seen_lifetime"),
+    ("[aodv]\nroute_lifetime = -1\n", "route_lifetime"),
+    ("[dsr]\ncache_lifetime = 0\n", "cache_lifetime"),
+    ("[dsr]\ncache_paths = -1\n", "cache_paths"),
+    ("[area]\nscale = 0\n", "scale"),
+    ("[area]\nwidth = -100\n", "width"),
+    ("[area]\nheight = -100\n", "height"),
     ("[radio]\nideal_channel = maybe\n", "ideal_channel"),
     ("[area]\nobstacles = 1,2,3\n", "obstacles"),
     ("[traffic]\npattern = fixed-pairs\n", "pattern"),   # removed key
