@@ -10,10 +10,14 @@ of one scenario in different security modes are not paired: relay jitter is
 the next draw from a node's protocol stream in frame arrival order, and the
 security mode moves arrival times, so draws, routes and discovery waits can
 diverge between modes. That is why 7b fails at N=20 (see the README).
-Heavy sweeps are cached per process so criteria can share them.
+
+Every family of runs goes through runner.run_cells, whose cells return the
+plain records the criteria read, never a World; a family that several
+criteria read is computed once per process and `parallel` value.
 """
 
-import math
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import packets as pk
@@ -21,8 +25,7 @@ from . import security as sec
 from .config import PROTOCOLS, ScenarioConfig, SweepSpec
 from .network import World
 from .olsr import select_mprs, shortest_routes
-from .runner import (graph_diameter, hop_distances, run_cells, seed_means,
-                     static_connected_world)
+from .runner import hop_distances, run_cells, seed_means, static_connected_world
 from .security import AdversaryRole
 
 SIZES = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
@@ -39,30 +42,24 @@ class CriterionResult:
     def line(self):
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
-
-_cache = {}
-
-
-def _cached(key, build):
-    if key not in _cache:
-        _cache[key] = build()
-    return _cache[key]
+    @classmethod
+    def of(cls, name, fails, passed_detail):
+        """Passed, with passed_detail, when fails is empty; else failed,
+        with the fails as the detail."""
+        return cls(name, not fails, "; ".join(fails) or passed_detail)
 
 
+@functools.cache
 def comparative_results(parallel=2):
     """Default-scenario sweep over all four protocols."""
-    def build():
-        spec = SweepSpec(base=ScenarioConfig(**RUN), sizes=SIZES, seeds=SEEDS,
-                         protocols=PROTOCOLS)
-        summaries = run_cells(spec.cells(), parallel=parallel)
-        by_cell = {}
-        for s in summaries:
-            by_cell.setdefault((s.protocol, s.network_size), []).append(s)
-        for group in by_cell.values():
-            group.sort(key=lambda s: s.seed)
-        means = {(r["protocol"], r["N"]): r for r in seed_means(summaries)}
-        return by_cell, means
-    return _cached("comparative", build)
+    spec = SweepSpec(base=ScenarioConfig(**RUN), sizes=SIZES, seeds=SEEDS,
+                     protocols=PROTOCOLS)
+    summaries = run_cells(spec.cells(), parallel)
+    by_cell = {}  # the seed varies fastest in spec.cells(): groups are in seed order
+    for s in summaries:
+        by_cell.setdefault((s.protocol, s.network_size), []).append(s)
+    means = {(r["protocol"], r["N"]): r for r in seed_means(summaries)}
+    return by_cell, means
 
 
 def crypto_isolation_config(**kw):
@@ -74,26 +71,17 @@ def crypto_isolation_config(**kw):
     return ScenarioConfig(**params).validate()
 
 
+def security_means(base, sizes, seeds, parallel=2):
+    """CML over base in every security mode: seed means keyed (mode, N)."""
+    spec = SweepSpec(base=base, sizes=sizes, seeds=seeds, protocols=("cml",),
+                     security_modes=sec.SECURITY_MODES)
+    summaries = run_cells(spec.cells(), parallel)
+    return {(r["security_mode"], r["N"]): r for r in seed_means(summaries)}
+
+
+@functools.cache
 def security_isolation_results(parallel=2):
-    def build():
-        spec = SweepSpec(base=crypto_isolation_config(), sizes=SIZES, seeds=SEEDS,
-                         protocols=("cml",),
-                         security_modes=sec.SECURITY_MODES)
-        summaries = run_cells(spec.cells(), parallel=parallel)
-        means = {(r["security_mode"], r["N"]): r for r in seed_means(summaries)}
-        return means
-    return _cached("sec-isolation", build)
-
-
-def security_contended_results(parallel=2):
-    def build():
-        spec = SweepSpec(base=ScenarioConfig(**RUN), sizes=(5, 20, 35, 50),
-                         seeds=(1, 2, 3), protocols=("cml",),
-                         security_modes=sec.SECURITY_MODES)
-        summaries = run_cells(spec.cells(), parallel=parallel)
-        means = {(r["security_mode"], r["N"]): r for r in seed_means(summaries)}
-        return means
-    return _cached("sec-contended", build)
+    return security_means(crypto_isolation_config(), SIZES, SEEDS, parallel)
 
 
 # -- criterion 1: delay crossover ------------------------------------------------
@@ -101,19 +89,14 @@ def security_contended_results(parallel=2):
 def criterion_crossover(parallel=2):
     by_cell, _ = comparative_results(parallel)
     fails = []
-    for n in (5, 10):
-        wins = sum(1 for o, a in zip(by_cell[("olsr", n)], by_cell[("aodv", n)])
-                   if o.avg_delay < a.avg_delay)
+    for n in (5, 10, 20, 30, 40, 50):
+        fast, slow = ("olsr", "aodv") if n <= 10 else ("aodv", "olsr")
+        wins = sum(1 for f, s in zip(by_cell[(fast, n)], by_cell[(slow, n)])
+                   if f.avg_delay < s.avg_delay)
         if wins < 4:
-            fails.append(f"N={n}: OLSR faster in {wins}/5")
-    for n in (20, 30, 40, 50):
-        wins = sum(1 for o, a in zip(by_cell[("olsr", n)], by_cell[("aodv", n)])
-                   if a.avg_delay < o.avg_delay)
-        if wins < 4:
-            fails.append(f"N={n}: AODV faster in {wins}/5")
-    detail = "; ".join(fails) if fails else \
-        "OLSR faster at N<=10, AODV faster at N>=20, in >=4/5 seeds per size"
-    return CriterionResult("1 delay crossover", not fails, detail)
+            fails.append(f"N={n}: {fast.upper()} faster in {wins}/5")
+    return CriterionResult.of("1 delay crossover", fails,
+        "OLSR faster at N<=10, AODV faster at N>=20, in >=4/5 seeds per size")
 
 
 # -- criterion 2: CML delay envelope -----------------------------------------------
@@ -128,9 +111,8 @@ def criterion_cml_envelope(parallel=2):
         d = means[("dsr", n)]["avg_delay_s"]
         if not (c <= 1.10 * min(o, a) and c <= d):
             fails.append(f"N={n}: cml={c*1e3:.1f}ms min={min(o,a)*1e3:.1f}ms")
-    detail = "; ".join(fails) if fails else \
-        "CML mean delay <= 1.10 x min(OLSR, AODV) and <= DSR at every size"
-    return CriterionResult("2 CML delay envelope", not fails, detail)
+    return CriterionResult.of("2 CML delay envelope", fails,
+        "CML mean delay <= 1.10 x min(OLSR, AODV) and <= DSR at every size")
 
 
 # -- criterion 3: DSR worst ------------------------------------------------------------
@@ -166,9 +148,8 @@ def criterion_jitter(parallel=2):
             fails.append(f"N={n}: aodv>{o*1e3:.1f}ms")
         if not c <= 1.10 * min(o, a):
             fails.append(f"N={n}: cml jitter above envelope")
-    detail = "; ".join(fails) if fails else \
-        "OLSR <= AODV for N<=10, AODV <= OLSR for N>=20, CML within envelope"
-    return CriterionResult("4 jitter ordering", not fails, detail)
+    return CriterionResult.of("4 jitter ordering", fails,
+        "OLSR <= AODV for N<=10, AODV <= OLSR for N>=20, CML within envelope")
 
 
 # -- criterion 5: routing load ------------------------------------------------------------------
@@ -191,9 +172,8 @@ def criterion_routing_load(parallel=2):
         if o.routing_load_bytes != c.routing_load_bytes:
             fails.append(f"seed {o.seed}: cml@5 {c.routing_load_bytes}B != "
                          f"olsr@5 {o.routing_load_bytes}B")
-    detail = "; ".join(fails) if fails else \
-        "OLSR least at N=50; CML within 15% of stable phase; CML@5 == OLSR@5 exactly"
-    return CriterionResult("5 routing load", not fails, detail)
+    return CriterionResult.of("5 routing load", fails,
+        "OLSR least at N=50; CML within 15% of stable phase; CML@5 == OLSR@5 exactly")
 
 
 # -- criterion 6: analytic exactness ---------------------------------------------------------------
@@ -232,29 +212,37 @@ def additivity_config(**kw):
     return crypto_isolation_config(**params)
 
 
-def _records_by_mode(cfg, modes):
-    runs = {}
-    for mode in modes:
-        world = World(cfg.replace(security_mode=mode))
-        world.run()
-        runs[mode] = {(r.flow_id, r.seq): r for r in world.metrics.records}
-    return runs
+def _delivery_cell(cfg):
+    """Run cfg as given (no re-seeding, unlike static_connected_world);
+    returns its delivery records keyed (flow_id, seq)."""
+    world = World(cfg)
+    world.run()
+    return {(r.flow_id, r.seq): r for r in world.metrics.records}
 
 
-def criterion_additivity():
+def mode_records(cfg, parallel=2):
+    """cfg run once in each security mode: mode -> its delivery records."""
+    cells = [cfg.replace(security_mode=m) for m in sec.SECURITY_MODES]
+    return dict(zip(sec.SECURITY_MODES, run_cells(cells, parallel, _delivery_cell)))
+
+
+@functools.cache
+def additivity_runs(parallel=2):
+    return mode_records(additivity_config(), parallel)
+
+
+def criterion_additivity(parallel=2):
     """Per-delivered-packet delay(hybrid) - delay(none) equals the injected
     crypto delays to 1e-12 (transmission of the 34 extra bytes is made
     negligible by the scenario's channel rate)."""
-    runs = _records_by_mode(additivity_config(), (sec.MODE_NONE, sec.MODE_HYBRID))
+    runs = additivity_runs(parallel)
     common = set(runs[sec.MODE_NONE]) & set(runs[sec.MODE_HYBRID])
     if not common:
         return CriterionResult("7a security additivity", False, "no common deliveries")
-    worst = 0.0
-    for key in common:
-        rn = runs[sec.MODE_NONE][key]
-        rh = runs[sec.MODE_HYBRID][key]
-        worst = max(worst, abs((rh.delay - rn.delay) - rh.crypto_delay))
-    ok = worst <= 1e-12 and len(common) == len(runs[sec.MODE_NONE])
+    none, hybrid = runs[sec.MODE_NONE], runs[sec.MODE_HYBRID]
+    worst = max(abs((hybrid[k].delay - none[k].delay) - hybrid[k].crypto_delay)
+                for k in common)
+    ok = worst <= 1e-12 and len(common) == len(none)
     return CriterionResult(
         "7a security additivity", ok,
         f"{len(common)} packets, worst |delta - crypto| = {worst:.2e} s")
@@ -283,13 +271,12 @@ def criterion_security_ordering(parallel=2):
                        (sec.MODE_NONE, sec.MODE_ESP, sec.MODE_HYBRID)]
         if not bytes_order[0] <= bytes_order[1] <= bytes_order[2]:
             fails.append(f"N={n}: bytes-on-air not monotone")
-    detail = "; ".join(fails[:4]) if fails else \
-        "cumulative delay none < ah-only < esp-only < hybrid at every size"
-    return CriterionResult("7b security mode ordering", not fails, detail)
+    return CriterionResult.of("7b security mode ordering", fails[:4],
+        "cumulative delay none < ah-only < esp-only < hybrid at every size")
 
 
-def ah_gap_residuals(cfg):
-    """Per-packet AH-on-ESP comparison over one scenario run in all four modes.
+def ah_gap_residuals(cfg, runs):
+    """Per-packet AH-on-ESP comparison over cfg's mode_records runs.
 
     Returns (same_set, rows). same_set is True when every mode delivered the
     same packets. Each row is (hops, residual, expected) for one delivered
@@ -301,7 +288,6 @@ def ah_gap_residuals(cfg):
     when both sizes fall in the same 512-bit block count, as at the default
     payload (564 B and 574 B are both 9 blocks).
     """
-    runs = _records_by_mode(cfg, sec.SECURITY_MODES)
     keys = set(runs[sec.MODE_NONE])
     same_set = all(set(runs[m]) == keys for m in sec.SECURITY_MODES)
     wire = pk.DATA_HEADER + cfg.traffic_payload
@@ -331,7 +317,7 @@ def criterion_ah_gap(parallel=2):
     and each packet's residual must equal that block-count term to 1e-12.
     The per-size mean gaps of the isolation sweep are reported alongside.
     """
-    same_set, rows = ah_gap_residuals(additivity_config())
+    same_set, rows = ah_gap_residuals(additivity_config(), additivity_runs(parallel))
     worst = max((abs(r - e) for _, r, e in rows), default=float("inf"))
     ok = same_set and worst <= 1e-12
     means = security_isolation_results(parallel)
@@ -356,7 +342,8 @@ def criterion_goodput(parallel=2):
     compares delivered data to control bytes, where every added security
     header shows up directly.
     """
-    means = security_contended_results(parallel)
+    means = security_means(ScenarioConfig(**RUN), (5, 20, 35, 50), (1, 2, 3),
+                           parallel)
     totals = {}
     for mode in sec.SECURITY_MODES:
         data = sum(means[(mode, n)]["data_delivered"] for n in (5, 20, 35, 50))
@@ -374,89 +361,87 @@ def criterion_goodput(parallel=2):
 
 PHASE_SIZES = (5, 8, 10, 20, 30, 50)
 
+# What the phase-machine and adversary criteria read from one static run:
+# each node's stable phase, the transitions.log lines, and t_osc.
+PhaseRun = namedtuple("PhaseRun", "phases transitions t_osc")
 
+
+def _phase_cell(cfg):
+    world = static_connected_world(cfg)
+    world.run()
+    return PhaseRun(tuple(node.driver.stable_phase for node in world.nodes),
+                    tuple(world.transitions), world.cfg.t_osc)
+
+
+@functools.cache
 def phase_convergence_runs(parallel=2):
     """Static connected networks, light channel load so the phase logic is
     exercised without flood loss: convergence is a protocol property, and the
-    contended-regime behavior is covered by the envelope and load criteria."""
-    def build():
-        cells = []
-        for n in PHASE_SIZES:
-            for seed in range(1, 11):
-                cells.append((n, seed))
-        worlds = []
-        for n, seed in cells:
-            cfg = ScenarioConfig(protocol="cml", n=n, seed=seed, x=0,
-                                 duration=120.0, warmup=30.0, v_min=0.0,
-                                 v_max=0.0, traffic_rate=0.5,
-                                 rotation_interval=10.0,
-                                 bandwidth_bps=1e6).validate()
-            world = static_connected_world(cfg)
-            world.run()
-            worlds.append((n, seed, world))
-        return worlds
-    return _cached("phase-convergence", build)
+    contended-regime behavior is covered by the envelope and load criteria.
+    Returns [(cfg, PhaseRun)]."""
+    cells = [ScenarioConfig(protocol="cml", n=n, seed=seed, x=0, duration=120.0,
+                            warmup=30.0, v_min=0.0, v_max=0.0, traffic_rate=0.5,
+                            rotation_interval=10.0, bandwidth_bps=1e6).validate()
+             for n in PHASE_SIZES for seed in range(1, 11)]
+    return list(zip(cells, run_cells(cells, parallel, _phase_cell)))
 
 
 def criterion_phase_convergence(parallel=2):
     fails = []
-    for n, seed, world in phase_convergence_runs(parallel):
-        want = "p-phase" if n <= 10 else "r-phase"
-        got = [node.driver.stable_phase for node in world.nodes]
-        bad = sum(1 for g in got if g != want)
+    for cfg, run in phase_convergence_runs(parallel):
+        want = "p-phase" if cfg.n <= 10 else "r-phase"
+        bad = sum(1 for g in run.phases if g != want)
         if bad:
-            fails.append(f"N={n} seed={seed}: {bad} nodes not {want}")
-    detail = "; ".join(fails[:4]) if fails else \
-        f"all nodes p-phase iff N <= 10 across sizes {PHASE_SIZES}, 10 seeds each"
-    return CriterionResult("8a phase convergence", not fails, detail)
+            fails.append(f"N={cfg.n} seed={cfg.seed}: {bad} nodes not {want}")
+    return CriterionResult.of("8a phase convergence", fails[:4],
+        f"all nodes p-phase iff N <= 10 across sizes {PHASE_SIZES}, 10 seeds each")
 
 
-def criterion_hysteresis():
-    def build():
-        worlds = []
-        for seed in (1, 2, 3):
-            cfg = ScenarioConfig(
-                protocol="cml", n=12, seed=seed, x=2, duration=300.0,
-                warmup=30.0, v_min=0.0, v_max=0.0, traffic_rate=0.5,
-                rotation_interval=10.0,
-                adversary=AdversaryRole(behavior=sec.ATTACK_OSCILLATE,
-                                        nodes=(10, 11), period=20.0)).validate()
-            world = static_connected_world(cfg)
-            world.run()
-            worlds.append((seed, world))
-        return worlds
-    worlds = _cached("hysteresis", build)
+@functools.cache
+def hysteresis_runs(parallel=2):
+    cells = [ScenarioConfig(
+        protocol="cml", n=12, seed=seed, x=2, duration=300.0,
+        warmup=30.0, v_min=0.0, v_max=0.0, traffic_rate=0.5,
+        rotation_interval=10.0,
+        adversary=AdversaryRole(behavior=sec.ATTACK_OSCILLATE,
+                                nodes=(10, 11), period=20.0)).validate()
+        for seed in (1, 2, 3)]
+    return list(zip(cells, run_cells(cells, parallel, _phase_cell)))
+
+
+def criterion_hysteresis(parallel=2):
     fails = []
-    for seed, world in worlds:
-        shifts = [l for l in world.transitions
+    for cfg, run in hysteresis_runs(parallel):
+        shifts = [l for l in run.transitions
                   if "\tp-phase\tr-phase\t" in l or "\tr-phase\tp-phase\t" in l]
         if shifts:
-            fails.append(f"seed={seed}: {len(shifts)} confirmed shifts")
-    detail = "; ".join(fails) if fails else \
-        "group of x=2 oscillating around the threshold: zero confirmed shifts in 300 s"
-    return CriterionResult("8b hysteresis", not fails, detail)
+            fails.append(f"seed={cfg.seed}: {len(shifts)} confirmed shifts")
+    return CriterionResult.of("8b hysteresis", fails,
+        "group of x=2 oscillating around the threshold: zero confirmed shifts in 300 s")
 
 
-def _rate_limit_violations(world):
+def _rate_limit_violations(run):
+    """(node, t, t_next) for each pair of consecutive confirmed shifts
+    (p-phase <-> r-phase) of one node closer together than run.t_osc."""
     per_node = {}
     out = []
-    for line in world.transitions:
+    for line in run.transitions:
         t, node, frm, to, _ = line.split("\t")
         if frm in ("p-phase", "r-phase") and to in ("p-phase", "r-phase"):
             per_node.setdefault(node, []).append(float(t))
     for node, times in per_node.items():
         for a, b in zip(times, times[1:]):
-            if b - a < world.cfg.t_osc - 1e-9:
+            if b - a < run.t_osc - 1e-9:
                 out.append((node, a, b))
     return out
 
 
 def criterion_rate_limit(parallel=2):
     violations = []
-    for n, seed, world in phase_convergence_runs(parallel):
-        violations += _rate_limit_violations(world)
-    for seed, world in adversary_runs():
-        violations += _rate_limit_violations(world)
+    for _, run in phase_convergence_runs(parallel):
+        violations += _rate_limit_violations(run)
+    for run in adversary_runs(parallel):
+        violations += _rate_limit_violations(run)
     ok = not violations
     return CriterionResult(
         "8c shift rate limit", ok,
@@ -466,55 +451,56 @@ def criterion_rate_limit(parallel=2):
 
 # -- criterion 9: adversary suite ------------------------------------------------------------------------
 
-def _attack_world(behavior, security, seed=2, n=9, period=40.0, x=2):
-    cfg = ScenarioConfig(protocol="cml", n=n, seed=seed, x=x,
-                         duration=200.0, warmup=40.0, v_min=0.0, v_max=0.0,
-                         traffic_rate=0.5, security_mode=security,
-                         adversary=AdversaryRole(
-                             behavior=behavior, nodes=(n - 1,), period=period,
-                             target_phase="r-phase")).validate()
-    world = static_connected_world(cfg)
-    world.run()
-    return world
+def _attack_config(behavior, security, seed=2, n=9, period=40.0, x=2):
+    return ScenarioConfig(protocol="cml", n=n, seed=seed, x=x,
+                          duration=200.0, warmup=40.0, v_min=0.0, v_max=0.0,
+                          traffic_rate=0.5, security_mode=security,
+                          adversary=AdversaryRole(
+                              behavior=behavior, nodes=(n - 1,), period=period,
+                              target_phase="r-phase")).validate()
 
 
-def adversary_runs():
-    def build():
-        return [(1, _attack_world(sec.ATTACK_FORGE_CP, "none")),
-                (2, _attack_world(sec.ATTACK_FORGE_CP, "hybrid"))]
-    return _cached("adversary", build)
+@functools.cache
+def adversary_runs(parallel=2):
+    """forge-cp without security and under hybrid: [PhaseRun] in that order."""
+    cells = [_attack_config(sec.ATTACK_FORGE_CP, mode) for mode in ("none", "hybrid")]
+    return run_cells(cells, parallel, _phase_cell)
+
+
+def _adversary_shifts(run):
+    """Transition lines triggered by a change-phase packet an adversary forged."""
+    return [l for l in run.transitions if ":adv" in l]
+
+
+def _probe_decisions(run):
+    """Probe-verdict transition lines, without their times."""
+    return [l.split("\t")[1:] for l in run.transitions if "probe-" in l]
 
 
 def criterion_adversary(parallel=2):
-    runs = dict(adversary_runs())
+    unsecured_run, secured_run = adversary_runs(parallel)
     fails = []
-    plain = [l for l in runs[1].transitions if ":adv" in l]
+    plain = _adversary_shifts(unsecured_run)
     if not plain:
         fails.append("forge-cp with no security induced no phase shift")
-    secured = [l for l in runs[2].transitions if ":adv" in l]
+    secured = _adversary_shifts(secured_run)
     if secured:
         fails.append(f"forge-cp under hybrid induced {len(secured)} shifts")
 
     # oscillation within tolerance: reuse the hysteresis scenario
-    hyst = criterion_hysteresis()
-    if not hyst.passed:
+    if not criterion_hysteresis(parallel).passed:
         fails.append("oscillate attack within tolerance caused shifts")
 
     # tampering under SCML leaves probe decisions identical to a clean run
-    def probe_log(behavior):
-        world = _attack_world(behavior, "hybrid", seed=5, n=8)
-        return [l.split("\t")[1:] for l in world.transitions if "probe-" in l]
-
-    key = "tamper-compare"
-    clean, tampered = _cached(key, lambda: (
-        probe_log(sec.ATTACK_NONE), probe_log(sec.ATTACK_TAMPER_HCREQ)))
-    if clean != tampered:
+    cells = [_attack_config(behavior, "hybrid", seed=5, n=8)
+             for behavior in (sec.ATTACK_NONE, sec.ATTACK_TAMPER_HCREQ)]
+    clean, tampered = run_cells(cells, parallel, _phase_cell)
+    if _probe_decisions(clean) != _probe_decisions(tampered):
         fails.append("tampered run diverged from clean run under SCML")
-    detail = "; ".join(fails) if fails else (
+    return CriterionResult.of("9 adversary suite", fails, (
         f"forge-cp: {len(plain)} adversary-triggered shifts unsecured, 0 "
         "under SCML; oscillate within tolerance: 0 shifts; tamper under "
-        "SCML: probe decisions identical to clean run")
-    return CriterionResult("9 adversary suite", not fails, detail)
+        "SCML: probe decisions identical to clean run"))
 
 
 # -- criterion 10: oracle and determinism suites -----------------------------------------------------------
@@ -552,41 +538,48 @@ def criterion_route_oracles():
         f"{bad_cover} uncovered two-hop sets")
 
 
-def criterion_aodv_oracle():
+def _aodv_oracle_cell(cfg):
+    """Discover a route from node 0 to each other node of one static connected
+    graph in turn; returns (discoveries, hop-count mismatches vs BFS)."""
+    world = static_connected_world(cfg)
+    world.setup()
+    dist = hop_distances(world.neighbors, 0)
+    mismatches = 0
+    for i, dst in enumerate(sorted(dist)[1:]):
+        msg = pk.DataMsg(flow_id=(i, 0), seq=0, src=0, dst=dst,
+                         payload=32, send_time=world.kernel.now)
+        world.nodes[0].driver.send_data(msg)
+        world.kernel.run_until(world.kernel.now + 3.0)
+        route = world.nodes[0].driver.valid_route(dst)
+        if route is None or route.hops != dist[dst]:
+            mismatches += 1
+    return len(dist) - 1, mismatches
+
+
+def criterion_aodv_oracle(parallel=2):
     base = ScenarioConfig(protocol="aodv", duration=60.0, warmup=0.0,
                           traffic_rate=0.0, ideal_channel=True,
                           broadcast_jitter=0.0)
-    mismatches = 0
-    discoveries = 0
-    for seed in SEEDS:
-        for n in (10, 16, 22):
-            world = static_connected_world(base.replace(n=n, seed=seed))
-            world.setup()
-            dist = hop_distances(world.neighbors, 0)
-            for i, dst in enumerate(sorted(dist)[1:]):
-                msg = pk.DataMsg(flow_id=(i, 0), seq=0, src=0, dst=dst,
-                                 payload=32, send_time=world.kernel.now)
-                world.nodes[0].driver.send_data(msg)
-                world.kernel.run_until(world.kernel.now + 3.0)
-                route = world.nodes[0].driver.valid_route(dst)
-                discoveries += 1
-                if route is None or route.hops != dist[dst]:
-                    mismatches += 1
+    cells = [base.replace(n=n, seed=seed) for seed in SEEDS for n in (10, 16, 22)]
+    results = run_cells(cells, parallel, _aodv_oracle_cell)
+    discoveries, mismatches = map(sum, zip(*results))
     return CriterionResult(
         "10b AODV discovery oracle", mismatches == 0,
         f"{discoveries} discoveries on static connected graphs, "
         f"{mismatches} hop-count mismatches vs BFS")
 
 
-def criterion_determinism():
+def _determinism_cell(cfg):
+    world = World(cfg)
+    summary = world.run()
+    return summary.csv_row(), tuple(world.transitions)
+
+
+def criterion_determinism(parallel=2):
     cfg = ScenarioConfig(protocol="cml", n=20, seed=9, duration=90.0,
                          warmup=20.0).validate()
-    outputs = []
-    for _ in range(2):
-        world = World(cfg)
-        summary = world.run()
-        outputs.append((summary.csv_row(), tuple(world.transitions)))
-    ok = outputs[0] == outputs[1]
+    first, second = run_cells([cfg, cfg], parallel, _determinism_cell)
+    ok = first == second
     return CriterionResult(
         "10c determinism", ok,
         "two executions produce byte-identical summary.csv and transitions.log"
@@ -600,17 +593,17 @@ ALL_CRITERIA = [
     ("4", criterion_jitter),
     ("5", criterion_routing_load),
     ("6", lambda parallel=2: criterion_analytic_exactness()),
-    ("7a", lambda parallel=2: criterion_additivity()),
+    ("7a", criterion_additivity),
     ("7b", criterion_security_ordering),
     ("7c", criterion_ah_gap),
     ("7d", criterion_goodput),
     ("8a", criterion_phase_convergence),
-    ("8b", lambda parallel=2: criterion_hysteresis()),
+    ("8b", criterion_hysteresis),
     ("8c", criterion_rate_limit),
     ("9", criterion_adversary),
     ("10a", lambda parallel=2: criterion_route_oracles()),
-    ("10b", lambda parallel=2: criterion_aodv_oracle()),
-    ("10c", lambda parallel=2: criterion_determinism()),
+    ("10b", criterion_aodv_oracle),
+    ("10c", criterion_determinism),
 ]
 
 

@@ -35,6 +35,18 @@ def net_traversal_time(cfg):
     return 2.0 * cfg.node_traversal_time * cfg.net_diameter
 
 
+# An expiring duplicate table is rebuilt from its live entries once it holds
+# more than twice the live count of its last rebuild plus this many: its size
+# stays proportional to its live entries at O(1) amortised cost per insertion.
+# Expired entries already read as absent, so purging changes no output.
+PURGE_SLACK = 64
+
+
+def next_purge(live):
+    """The length past which a table just rebuilt from live gets rebuilt next."""
+    return 2 * len(live) + PURGE_SLACK
+
+
 class _Request:
     __slots__ = ("retries_left", "packets", "timer")
 
@@ -66,6 +78,7 @@ class Discovery:
         self.rreq_counter = 0
         self.pending = {}  # dest -> _Request
         self.seen = {}
+        self._seen_cap = PURGE_SLACK
 
     def buffer(self, msg):
         """Hold msg until a route to msg.dst is found, starting a discovery
@@ -89,6 +102,9 @@ class Discovery:
         if seen_until is not None and seen_until > now:
             return False
         self.seen[key] = now + self.world.cfg.seen_lifetime
+        if len(self.seen) > self._seen_cap:
+            self.seen = {k: t for k, t in self.seen.items() if t > now}
+            self._seen_cap = next_purge(self.seen)
         return True
 
     def _flood(self, dest, req):

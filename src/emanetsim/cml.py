@@ -16,7 +16,7 @@ import math
 
 from . import packets as pk
 from . import security as sec
-from .aodv import AodvNode, estimate_size_from_hops
+from .aodv import PURGE_SLACK, AodvNode, estimate_size_from_hops, next_purge
 from .olsr import OlsrNode
 
 P_PHASE = "p-phase"
@@ -49,7 +49,9 @@ class CmlNode:
         self.osc_until = -1.0
         self.cp_seq = 0
         self._cp_seen = {}
+        # (origin, probe_id) -> (highest ttl processed, expiry time)
         self._hcreq_seen = {}
+        self._hcreq_cap = PURGE_SLACK
         self._probe_counter = 0
         # echo probe id -> (parent origin, parent probe id)
         self._echoes = {}
@@ -140,8 +142,7 @@ class CmlNode:
         st["open"][stage] = True
         msg = pk.HcReqMsg(origin=self.node.id, probe_id=pid,
                           ttl=self._effective_nht())
-        self._hcreq_seen[(self.node.id, pid)] = \
-            [msg.ttl, self.world.kernel.now + self.cfg.seen_lifetime]
+        self._mark_hcreq((self.node.id, pid), msg.ttl, self.world.kernel.now)
         self.world.broadcast(self.node, pk.HCREQ, msg)
         window = 4.0 * self.aodv.net_traversal_time()
         st["window"] = self.world.kernel.schedule_in(
@@ -253,25 +254,24 @@ class CmlNode:
             trigger += ":adv"
         self._shift(target, trigger, broadcast=False)
 
+    def _mark_hcreq(self, key, ttl, now):
+        self._hcreq_seen[key] = (ttl, now + self.cfg.seen_lifetime)
+        if len(self._hcreq_seen) > self._hcreq_cap:
+            self._hcreq_seen = {k: e for k, e in self._hcreq_seen.items() if e[1] > now}
+            self._hcreq_cap = next_purge(self._hcreq_seen)
+
     def process_hcreq(self, frame, prev_hop):
         msg = frame.msg
         now = self.world.kernel.now
         key = (msg.origin, msg.probe_id)
         entry = self._hcreq_seen.get(key)
-        if entry is not None and entry[1] <= now:
-            entry = None
-        first = entry is None
+        first = entry is None or entry[1] <= now
         if not first and msg.ttl <= entry[0]:
             return  # same or weaker copy of an already-processed probe
         # relay jitter lets longer paths win the first-copy race; repeating
         # the relay when a strictly higher ttl arrives keeps the probe's
         # effective depth equal to its hop budget
-        if first:
-            entry = [msg.ttl, now + self.cfg.seen_lifetime]
-            self._hcreq_seen[key] = entry
-        else:
-            entry[0] = msg.ttl
-            entry[1] = now + self.cfg.seen_lifetime
+        self._mark_hcreq(key, msg.ttl, now)
         if msg.origin == self.node.id:
             return
         self._foreign_probe_until = now + self.cfg.t_osc
@@ -298,8 +298,7 @@ class CmlNode:
             echo = pk.HcReqMsg(origin=self.node.id, probe_id=pid,
                                ttl=self._effective_nht(), is_echo=True,
                                echo_parent=key)
-            self._hcreq_seen[(self.node.id, pid)] = \
-                [echo.ttl, now + self.cfg.seen_lifetime]
+            self._mark_hcreq((self.node.id, pid), echo.ttl, now)
             self.world.kernel.schedule_in(
                 self.node.streams["proto"].uniform(0.0, self.cfg.hcreq_jitter),
                 lambda: self.world.broadcast(self.node, pk.HCREQ, echo),

@@ -338,15 +338,10 @@ class SweepSpec:
 
     def cells(self):
         """Fully resolved per-run configs, ordered deterministically."""
-        out = []
-        for protocol in self.protocols:
-            for mode in self.security_modes:
-                for n in self.sizes:
-                    for seed in self.seeds:
-                        out.append(self.base.replace(
-                            protocol=protocol, security_mode=mode,
-                            n=n, seed=seed).validate())
-        return out
+        return [self.base.replace(protocol=protocol, security_mode=mode, n=n,
+                                  seed=seed).validate()
+                for protocol in self.protocols for mode in self.security_modes
+                for n in self.sizes for seed in self.seeds]
 
 
 def parse_sizes(spec):

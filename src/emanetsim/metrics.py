@@ -154,11 +154,8 @@ class MetricLog:
         flows = {}
         for r in self.records:
             flows.setdefault(r.flow_id, []).append(r)
-        jitters = []
-        for flow_id in sorted(flows):
-            j = _jitter(flows[flow_id])
-            if j is not None:
-                jitters.append(j)
+        jitters = [j for j in (_jitter(flows[f]) for f in sorted(flows))
+                   if j is not None]
         avg_jitter = sum(jitters) / len(jitters) if jitters else float("nan")
         ctl_packets, ctl_bytes = self.control_totals()
         delivered = len(self.records)

@@ -14,10 +14,7 @@ from .network import World
 
 def build_world(cfg, trace_sink=None):
     cfg.validate()
-    trace = None
-    if cfg.trace and trace_sink is not None:
-        trace = trace_sink
-    return World(cfg, trace=trace)
+    return World(cfg, trace=trace_sink if cfg.trace else None)
 
 
 def run_scenario(cfg, out_dir=None, run_name=None):
@@ -53,23 +50,24 @@ def run_scenario(cfg, out_dir=None, run_name=None):
 
 
 def _run_cell(cfg):
-    world = World(cfg)
-    summary = world.run()
-    return summary
+    return World(cfg).run()
 
 
-def run_cells(cells, parallel=1):
-    """Run a list of configs, optionally in worker processes.
+def run_cells(cells, parallel=1, fn=None):
+    """Apply fn (default: run the config, return its RunSummary) to each
+    cell, optionally in worker processes. fn must be a module-level function
+    so that workers can look it up.
 
     Results come back in input order either way, so downstream CSVs are
     byte-identical regardless of parallelism.
     """
+    fn = fn or _run_cell
     if parallel > 1 and len(cells) > 1:
         # A fresh worker per cell: a reused worker's resident peak would
         # build up over whichever cells it happened to draw.
         with get_context("fork").Pool(parallel, maxtasksperchild=1) as pool:
-            return pool.map(_run_cell, cells, chunksize=1)
-    return [_run_cell(c) for c in cells]
+            return pool.map(fn, cells, chunksize=1)
+    return [fn(c) for c in cells]
 
 
 def seed_means(summaries):

@@ -1,10 +1,14 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
-The comparative criteria share one cached default sweep (200 runs, several
-minutes); run these last or deselect with `-k "not acceptance"` during
-development. Criterion 7b fails at N=20 because runs of one scenario in
-different security modes are not paired: relay jitter draws follow frame
-arrival order, which the security mode shifts (see the README).
+Every criterion runs its scenario families through the worker pool
+(PARALLEL processes). A family that several criteria read, such as the
+200-run default sweep behind criteria 1-5, runs once per process and is
+then read from memory, as plain records. The suite takes minutes; deselect
+it with `-k "not acceptance"` during development.
+
+Criterion 7b fails at N=20 because runs of one scenario in different
+security modes are not paired: relay jitter draws follow frame arrival
+order, which the security mode shifts (see the README).
 """
 
 import pytest
@@ -50,7 +54,7 @@ def test_criterion_6_analytic_exactness():
 
 
 def test_criterion_7a_additivity():
-    r = report(ac.criterion_additivity())
+    r = report(ac.criterion_additivity(PARALLEL))
     assert r.passed, r.detail
 
 
@@ -79,7 +83,7 @@ def test_criterion_8a_phase_convergence():
 
 
 def test_criterion_8b_hysteresis():
-    r = report(ac.criterion_hysteresis())
+    r = report(ac.criterion_hysteresis(PARALLEL))
     assert r.passed, r.detail
 
 
@@ -99,10 +103,10 @@ def test_criterion_10a_route_oracles():
 
 
 def test_criterion_10b_aodv_oracle():
-    r = report(ac.criterion_aodv_oracle())
+    r = report(ac.criterion_aodv_oracle(PARALLEL))
     assert r.passed, r.detail
 
 
 def test_criterion_10c_determinism():
-    r = report(ac.criterion_determinism())
+    r = report(ac.criterion_determinism(PARALLEL))
     assert r.passed, r.detail

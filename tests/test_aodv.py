@@ -2,7 +2,7 @@ import pytest
 
 from conftest import bfs_distances, chain_positions, make_world, world_adjacency
 from emanetsim import packets as pk
-from emanetsim.aodv import estimate_size_from_hops
+from emanetsim.aodv import PURGE_SLACK, estimate_size_from_hops
 from emanetsim.config import ScenarioConfig
 from emanetsim.runner import static_connected_world
 
@@ -117,6 +117,20 @@ def test_duplicate_rreq_not_rebroadcast(protocol):
     drv.reset()
     assert drv.discovery.seen == {}
     assert offer(0, 6) == 2
+
+
+def test_duplicate_table_purges_expired_requests():
+    # one new request a second for 200 lifetimes: at most the last five are
+    # live, so the table never grows past the purge bound
+    world = aodv_world(chain_positions(2), seen_lifetime=5.0)
+    disc = world.nodes[0].driver.discovery
+    for i in range(1000):
+        world.kernel.run_until(float(i))
+        assert disc.first_copy(7, i)
+        assert not disc.first_copy(7, i)
+        assert len(disc.seen) <= 2 * 5 + PURGE_SLACK
+    assert (7, 0) not in disc.seen
+    assert disc.first_copy(7, 0)
 
 
 def test_rreq_hop_count_increments_per_relay():

@@ -2,7 +2,11 @@ import pytest
 
 from conftest import chain_positions, make_world
 from emanetsim import packets as pk
-from emanetsim.cml import O_TOWARD_P, O_TOWARD_R, P_PHASE, R_PHASE, derive_nht
+from emanetsim.aodv import PURGE_SLACK, Discovery
+from emanetsim.cml import (O_TOWARD_P, O_TOWARD_R, P_PHASE, R_PHASE, CmlNode,
+                           derive_nht)
+from emanetsim.config import ScenarioConfig
+from emanetsim.network import World
 
 
 def cml_world(positions=None, **kw):
@@ -283,6 +287,37 @@ def test_late_reply_has_no_effect():
                              msg=pk.HcRepMsg(responder=4, origin=0, probe_id=pid),
                              sender=1))
     assert d.phase == P_PHASE
+
+
+def test_duplicate_tables_stay_bounded_over_long_run(monkeypatch):
+    # After every insertion into an expiring duplicate table (RREQ ids and
+    # HCREQ probes), the table holds at most twice the most entries it ever
+    # held live, plus the purge slack. A 5 s seen_lifetime makes the 300 s
+    # run sixty lifetimes long: unpurged, expired entries pile up past that.
+    peak, purged = {}, set()
+
+    def watch(cls, method, attr, expiry):
+        orig = getattr(cls, method)
+
+        def wrapped(self, *args):
+            before = len(getattr(self, attr))
+            result = orig(self, *args)
+            table, now = getattr(self, attr), self.world.kernel.now
+            live = sum(1 for e in table.values() if expiry(e) > now)
+            key = (attr, id(self))
+            peak[key] = max(peak.get(key, 0), live)
+            assert len(table) <= 2 * peak[key] + PURGE_SLACK
+            if len(table) < before:
+                purged.add(attr)
+            return result
+        monkeypatch.setattr(cls, method, wrapped)
+
+    watch(Discovery, "first_copy", "seen", lambda until: until)
+    watch(CmlNode, "_mark_hcreq", "_hcreq_seen", lambda entry: entry[1])
+    cfg = ScenarioConfig(protocol="cml", n=20, seed=1, duration=300.0,
+                         warmup=0.0, seen_lifetime=5.0).validate()
+    World(cfg).run()
+    assert purged == {"seen", "_hcreq_seen"}
 
 
 # -- change-phase flooding --------------------------------------------------------------

@@ -88,6 +88,23 @@ def test_parallel_sweep_matches_serial():
     assert serial == parallel
 
 
+def hop_counts(cfg):
+    """A cell function other than the default: plain per-run data."""
+    world = World(cfg)
+    world.run()
+    return cfg.protocol, cfg.n, cfg.seed, [r.hops for r in world.metrics.records]
+
+
+def test_run_cells_with_cell_function_parallel_matches_serial():
+    spec = SweepSpec(base=small_cfg(), sizes=(5, 8), seeds=(1, 2),
+                     protocols=("olsr", "aodv"))
+    cells = spec.cells()
+    serial = run_cells(cells, 1, hop_counts)
+    assert [r[:3] for r in serial] == [(c.protocol, c.n, c.seed) for c in cells]
+    assert any(r[3] for r in serial)
+    assert run_cells(cells, 2, hop_counts) == serial
+
+
 def test_run_sweep_artifacts(tmp_path):
     spec = SweepSpec(base=small_cfg(), sizes=(5, 8), seeds=(1,),
                      protocols=("olsr",))

@@ -128,7 +128,7 @@ def test_device_profile_rejects_nonpositive():
 def test_ah_gap_identity_at_default_payload():
     # 540 B data packets: 564 B under AH and 574 B under AH+ESP are both
     # 9 HMAC blocks, so AH costs the same on top of ESP as on its own
-    same_set, rows = ac.ah_gap_residuals(ac.additivity_config())
+    same_set, rows = ac.ah_gap_residuals(ac.additivity_config(), ac.additivity_runs())
     assert same_set and rows
     for hops, residual, expected in rows:
         assert hops >= 1
@@ -140,7 +140,7 @@ def test_ah_gap_residual_across_block_boundary():
     # 548 B data packets: 572 B under AH is 9 blocks, 582 B under AH+ESP is
     # 10, so each hop pays one extra HMAC block at the sender and receiver
     cfg = ac.additivity_config(traffic_payload=520)
-    same_set, rows = ac.ah_gap_residuals(cfg)
+    same_set, rows = ac.ah_gap_residuals(cfg, ac.mode_records(cfg))
     assert same_set and rows
     for hops, residual, expected in rows:
         extra = 2 * hops * sec.HMAC_MD5_PER_BLOCK_OPS / cfg.c_p
