@@ -23,6 +23,8 @@ CELLS = {f"{p}-n{n}": dict(protocol=p, n=n)
          for p in ("olsr", "aodv", "dsr", "cml") for n in (5, 20)}
 for name in ("aodv-n20", "dsr-n20", "olsr-n20"):
     CELLS[name]["trace"] = True
+# OLSR at N=50 has the most equal-length route ties
+CELLS["olsr-n50"] = dict(protocol="olsr", n=50, trace=True)
 CELLS["cml-n20-hybrid"] = dict(protocol="cml", n=20, security_mode="hybrid",
                                trace=True)
 CELLS["cml-n20-ideal-hybrid"] = dict(
@@ -47,6 +49,7 @@ GOLDEN = {
     'dsr-n5': ('0a58d34c7a551d4ed9ef02a1235542e13502e0be6562f943dce94bb59cb7b690', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'olsr-n20': ('d6792e4e6ee0e431f186560fb966c7e6081965d4ed24d84288b9c651aaac642f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '7ff319bddf0312b5beec03d5b864777fb2e667262eeb226883c3464bdc4525a4'),
     'olsr-n5': ('3720a73c183183b9db1733ef7f22c2f00c3e17c9b1e096f6a4e7db92fc5b2ce3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'olsr-n50': ('2968ac0ef67cbdbf6b81a8f14456c23f7c769655baf2eba4a9adb27f2fde5155', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '07aca7d9cc2b8222850ab48599428c1d58940ae2a4dd6f654b22cc268b472677'),
 }
 
 # 48 runs; the sparse traffic leaves some cells without deliveries, so the
