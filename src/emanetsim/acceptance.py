@@ -24,7 +24,7 @@ from . import packets as pk
 from . import security as sec
 from .config import PROTOCOLS, ScenarioConfig, SweepSpec
 from .network import World
-from .olsr import select_mprs, shortest_routes
+from .olsr import mask, select_mprs, shortest_routes
 from .runner import hop_distances, run_cells, seed_means, static_connected_world
 from .security import AdversaryRole
 
@@ -520,14 +520,14 @@ def criterion_route_oracles():
                     adj[b].add(a)
         adj = {i: sorted(adj[i]) for i in adj}
         dist = hop_distances(adj.__getitem__, 0)
-        routes = shortest_routes(0, adj[0], adj)
+        routes = shortest_routes(0, adj[0], {i: mask(adj[i]) for i in adj})
         for dest, d in dist.items():
             if dest and routes.get(dest, (None, -1))[1] != d:
                 bad_routes += 1
         one = set(adj[0])
         two_map = {v: set(adj[v]) - {0} for v in one}
         strict_two = set().union(*two_map.values()) - one if two_map else set()
-        mprs = select_mprs(one, two_map)
+        mprs = select_mprs(one, {v: mask(two_map[v]) for v in one})
         covered = set().union(*(two_map[m] for m in mprs)) if mprs else set()
         if not strict_two <= covered:
             bad_cover += 1

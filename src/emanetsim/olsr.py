@@ -8,83 +8,78 @@ willingness. Entries expire after three emission intervals without refresh.
 from . import packets as pk
 
 
-def select_mprs(one_hop, two_hop_map):
-    """Greedy multipoint-relay cover.
+def mask(ids):
+    """The int bitmask of a collection of node ids: bit i set for node i."""
+    m = 0
+    for i in ids:
+        m |= 1 << i
+    return m
 
-    one_hop: iterable of neighbor ids. two_hop_map: neighbor -> set of its
-    neighbors. First picks neighbors that are the sole path to some strict
-    two-hop node, then repeatedly the neighbor covering the most uncovered
-    two-hop nodes; ties go to the lowest node id.
+
+def select_mprs(one_hop, named):
+    """Greedy multipoint-relay cover (RFC 3626 section 8.3.1).
+
+    one_hop: iterable of neighbor ids. named: neighbor -> mask of the nodes
+    its HELLO names. First picks neighbors that are the sole path to some
+    strict two-hop node, then repeatedly the neighbor covering the most
+    uncovered two-hop nodes; ties go to the lowest node id.
     """
     one = sorted(one_hop)
-    one_set = set(one)
-    reach = {n: set(two_hop_map.get(n, ())) - one_set for n in one}
-    targets = set()
-    for n in one:
-        targets |= reach[n]
+    one_mask = mask(one)
+    reach = [(n, named.get(n, 0) & ~one_mask) for n in one]
+    once = twice = 0
+    for _, r in reach:
+        twice |= once & r
+        once |= r
+    sole = once & ~twice
     mprs = set()
-    covered = set()
-    for t in sorted(targets):
-        providers = [n for n in one if t in reach[n]]
-        if len(providers) == 1:
-            mprs.add(providers[0])
-    for m in mprs:
-        covered |= reach[m]
-    while covered < targets:
-        best = None
-        best_gain = -1
-        for n in one:
-            if n in mprs:
-                continue
-            gain = len(reach[n] - covered)
+    covered = 0
+    for n, r in reach:
+        if r & sole:
+            mprs.add(n)
+            covered |= r
+    while covered != once:
+        best, best_reach, best_gain = None, 0, 0
+        for n, r in reach:
+            gain = (r & ~covered).bit_count()
             if gain > best_gain:
-                best = n
-                best_gain = gain
-        if best is None or best_gain <= 0:
-            break
+                best, best_reach, best_gain = n, r, gain
         mprs.add(best)
-        covered |= reach[best]
+        covered |= best_reach
     return mprs
 
 
-def shortest_routes(self_id, one_hop, edges):
+def shortest_routes(self_id, one_hop, adj):
     """Hop-count shortest paths over the known graph, by a layered BFS.
 
-    edges: dict node -> iterable of adjacent nodes (need not be symmetric;
-    symmetrized here). Returns dest -> (next_hop, hops), inserted in
-    (hops, next_hop, dest) order. Ties follow RFC 3626 section 10: among
-    equal-length paths the lowest next-hop id wins, so a node's next hop is
-    the least next hop of its neighbours in the layer before. Each layer is
-    walked in (next_hop, node) order, so the first visit already carries it.
+    adj: node -> mask of its neighbours, symmetric. Returns dest ->
+    (next_hop, hops), inserted in (hops, next_hop, dest) order. Ties follow
+    RFC 3626 section 10: among equal-length paths the lowest next-hop id
+    wins. Each layer is a list of (next_hop, mask of the nodes that the
+    last layer's members of that group reach), taken in next-hop order, so
+    a node's first visit already carries its least next hop.
     """
-    adj = {}
-    for a, nbrs in edges.items():
-        row = adj.get(a)
-        if row is None:
-            row = adj[a] = set()
-        row.update(nbrs)
-        for b in nbrs:
-            back = adj.get(b)
-            if back is None:
-                adj[b] = {a}
-            else:
-                back.add(a)
-
-    first = set(one_hop)
-    first.discard(self_id)
-    seen = first | {self_id}
-    layer = [(n, n) for n in sorted(first)]
-    routes = {}
-    hops = 1
+    first = sorted(set(one_hop) - {self_id})
+    seen = mask(first) | 1 << self_id
+    routes = {n: (n, 1) for n in first}
+    get = adj.get
+    layer = [(n, get(n, 0)) for n in first]
+    hops = 2
     while layer:
         nxt = []
-        for next_hop, node in layer:
-            routes[node] = (next_hop, hops)
-            for nb in adj.get(node, ()):
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append((next_hop, nb))
-        nxt.sort()
+        for next_hop, reach in layer:
+            new = reach & ~seen
+            if not new:
+                continue
+            seen |= new
+            reach = 0
+            while new:
+                low = new & -new
+                new ^= low
+                node = low.bit_length() - 1
+                routes[node] = (next_hop, hops)
+                reach |= get(node, 0)
+            nxt.append((next_hop, reach))
         layer = nxt
         hops += 1
     return routes
@@ -98,16 +93,21 @@ class OlsrNode:
         self.node = node
         self.cfg = world.cfg
         self.enabled = True
-        # neighbor -> (set of its neighbors, expiry, whether it selected this
-        # node as an MPR)
+        # neighbor -> (mask of the nodes its HELLO names, this node removed;
+        # expiry; whether it selected this node as an MPR)
         self.links = {}
         self.mpr_set = set()
-        # origin -> (advertised tuple, seq, expiry)
+        # origin -> (mask of its advertised selectors, seq, expiry)
         self.topology = {}
+        # derived from links and topology, kept up to date as they change:
+        # _out[a] = the links mask | the topology mask of a, this node
+        # removed; _adj[a] = the mask of a's neighbours in the symmetric graph
+        self._out = {}
+        self._adj = {}
         self.msg_seq = 0
         self._tc_seen = {}
         self._routes = {}
-        # _dirty: an input of the route table changed since it was computed;
+        # _dirty: the one-hop keys or _adj changed since the routes were computed;
         # _mprs_stale: a neighbor or its neighbor set changed since the last
         # MPR selection
         self._dirty = True
@@ -132,6 +132,8 @@ class OlsrNode:
         self.links.clear()
         self.mpr_set.clear()
         self.topology.clear()
+        self._out.clear()
+        self._adj.clear()
         self._tc_seen.clear()
         self._routes = {}
         self._dirty = True
@@ -185,19 +187,20 @@ class OlsrNode:
     def process_hello(self, msg, sender):
         now = self.world.kernel.now
         expiry = now + 3.0 * self.cfg.hello_interval
-        others = set(msg.neighbor_list)
-        others.discard(self.node.id)
+        named = mask(msg.neighbor_list) & ~(1 << self.node.id)
         known = self.links.get(sender)
-        if known is None or known[0] != others:
+        self.links[sender] = (named, expiry, self.node.id in msg.mpr_flags)
+        if known is None:
             self._dirty = True
+        if known is None or known[0] != named:
             self._mprs_stale = True
-        self.links[sender] = (others, expiry, self.node.id in msg.mpr_flags)
+            self._update_out(sender)
         if expiry < self._next_expiry:
             self._next_expiry = expiry
         self._purge()
         if self._mprs_stale:
             self.mpr_set = select_mprs(self.links,
-                                       {n: s for n, (s, _, _) in self.links.items()})
+                                       {n: m for n, (m, _, _) in self.links.items()})
             self._mprs_stale = False
 
     def process_tc(self, frame, sender):
@@ -209,11 +212,12 @@ class OlsrNode:
         if msg.sequence <= last:
             return
         self._tc_seen[msg.origin] = msg.sequence
+        advertised = mask(msg.advertised)
         known = self.topology.get(msg.origin)
-        if known is None or known[0] != msg.advertised:
-            self._dirty = True
         expiry = now + 3.0 * self.cfg.tc_interval
-        self.topology[msg.origin] = (msg.advertised, msg.sequence, expiry)
+        self.topology[msg.origin] = (advertised, msg.sequence, expiry)
+        if known is None or known[0] != advertised:
+            self._update_out(msg.origin)
         if expiry < self._next_expiry:
             self._next_expiry = expiry
         # MPR flooding: relay only if the previous hop selected us
@@ -230,33 +234,46 @@ class OlsrNode:
         now = self.world.kernel.now
         if now < self._next_expiry:
             return
-        nxt = float("inf")
         dead = [n for n, (_, exp, _) in self.links.items() if exp <= now]
         for n in dead:
             del self.links[n]
         if dead:
             self._dirty = True
             self._mprs_stale = True
-        for _, exp, _ in self.links.values():
-            nxt = min(nxt, exp)
-        dead = [o for o, (_, _, exp) in self.topology.items() if exp <= now]
-        for o in dead:
+        gone = [o for o, (_, _, exp) in self.topology.items() if exp <= now]
+        for o in gone:
             del self.topology[o]
-        if dead:
-            self._dirty = True
-        for _, _, exp in self.topology.values():
-            nxt = min(nxt, exp)
-        self._next_expiry = nxt
+        for a in dead + gone:
+            self._update_out(a)
+        self._next_expiry = min(
+            min((exp for _, exp, _ in self.links.values()), default=float("inf")),
+            min((exp for _, _, exp in self.topology.values()), default=float("inf")))
+
+    def _update_out(self, a):
+        """Recompute _out[a] from the tables and toggle in _adj each edge
+        a-b that the change adds or removes, that is, whose bit moved in
+        _out[a] while _out[b] does not name a. Sets _dirty if _adj moved."""
+        link = self.links.get(a)
+        topo = self.topology.get(a)
+        new = ((link[0] if link else 0) | (topo[0] if topo else 0)) & ~(1 << self.node.id)
+        out, adj = self._out, self._adj
+        diff = out.get(a, 0) ^ new
+        out[a] = new
+        bit = 1 << a
+        while diff:
+            low = diff & -diff
+            diff ^= low
+            b = low.bit_length() - 1
+            if not out.get(b, 0) & bit:
+                adj[a] = adj.get(a, 0) ^ low
+                adj[b] = adj.get(b, 0) ^ bit
+                self._dirty = True
 
     def compute_routes(self):
         self._purge()
         if not self._dirty:
             return self._routes
-        edges = {nbr: their for nbr, (their, _, _) in self.links.items()}
-        for origin, (advertised, _, _) in self.topology.items():
-            their = edges.get(origin)
-            edges[origin] = advertised if their is None else their.union(advertised)
-        self._routes = shortest_routes(self.node.id, self.links, edges)
+        self._routes = shortest_routes(self.node.id, self.links, self._adj)
         self._dirty = False
         return self._routes
 

@@ -1,6 +1,7 @@
 import heapq
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bfs_distances, chain_positions, make_world, random_graph, world_adjacency
 from emanetsim import olsr
@@ -8,28 +9,48 @@ from emanetsim import packets as pk
 from emanetsim.config import ScenarioConfig
 from emanetsim.kernel import RandomStream
 from emanetsim.network import World
-from emanetsim.olsr import select_mprs, shortest_routes
+from emanetsim.olsr import mask, select_mprs, shortest_routes
+
+
+def masks(sets):
+    """node -> mask, from node -> collection of ids."""
+    return {n: mask(ids) for n, ids in sets.items()}
+
+
+def adjacency(edges):
+    """Symmetric neighbour masks of the graph with edges node -> ids."""
+    adj = {}
+    for a, nbrs in edges.items():
+        adj[a] = adj.get(a, 0) | mask(nbrs)
+        for b in nbrs:
+            adj[b] = adj.get(b, 0) | 1 << a
+    return adj
+
+
+def members(m):
+    """The ids set in mask m, ascending."""
+    return [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 # -- MPR selection (pure) ----------------------------------------------------
 
 def test_mpr_star_topology_single_relay():
     # all two-hop nodes sit behind neighbor 1
-    mprs = select_mprs([1, 2], {1: {10, 11, 12}, 2: set()})
+    mprs = select_mprs([1, 2], masks({1: {10, 11, 12}, 2: set()}))
     assert mprs == {1}
 
 
 def test_mpr_empty_without_two_hop():
-    assert select_mprs([1, 2, 3], {1: set(), 2: set(), 3: set()}) == set()
+    assert select_mprs([1, 2, 3], masks({1: set(), 2: set(), 3: set()})) == set()
 
 
 def test_mpr_sole_provider_always_chosen():
-    mprs = select_mprs([1, 2], {1: {10}, 2: {10, 11}})
+    mprs = select_mprs([1, 2], masks({1: {10}, 2: {10, 11}}))
     assert 2 in mprs  # only provider of 11
 
 
 def test_mpr_tie_breaks_lowest_id():
-    mprs = select_mprs([4, 2], {4: {10, 11}, 2: {10, 11}})
+    mprs = select_mprs([4, 2], masks({4: {10, 11}, 2: {10, 11}}))
     assert mprs == {2}
 
 
@@ -43,7 +64,7 @@ def test_mpr_coverage_on_seeded_graphs():
         strict_two = set()
         for n in one:
             strict_two |= two_map[n] - one
-        mprs = select_mprs(one, two_map)
+        mprs = select_mprs(one, masks(two_map))
         covered = set()
         for m in mprs:
             covered |= two_map[m]
@@ -51,22 +72,76 @@ def test_mpr_coverage_on_seeded_graphs():
         assert mprs <= one
 
 
+def reference_select_mprs(one_hop, two_hop_map):
+    """The greedy cover on sets: sole providers first, then the neighbour
+    covering the most uncovered two-hop nodes, lowest id on ties."""
+    one = sorted(one_hop)
+    one_set = set(one)
+    reach = {n: set(two_hop_map.get(n, ())) - one_set for n in one}
+    targets = set()
+    for n in one:
+        targets |= reach[n]
+    mprs = set()
+    covered = set()
+    for t in sorted(targets):
+        providers = [n for n in one if t in reach[n]]
+        if len(providers) == 1:
+            mprs.add(providers[0])
+    for m in mprs:
+        covered |= reach[m]
+    while covered < targets:
+        best = None
+        best_gain = -1
+        for n in one:
+            if n in mprs:
+                continue
+            gain = len(reach[n] - covered)
+            if gain > best_gain:
+                best = n
+                best_gain = gain
+        if best is None or best_gain <= 0:
+            break
+        mprs.add(best)
+        covered |= reach[best]
+    return mprs
+
+
+def test_select_mprs_equal_reference():
+    s = RandomStream(8).fork("mpr-ref")
+    seen = dict(self_named=0, missing=0, empty=0, tie=0)
+    for trial in range(300):
+        ids = s.sample(list(range(60)), s.randint(2, 25))
+        me = ids[0]
+        one_hop = [v for v in ids[1:] if s.random() < 0.4]
+        p = s.uniform(0.05, 0.4)
+        two_map = {n: {v for v in ids if v != n and s.random() < p}
+                   for n in one_hop if s.random() < 0.85}
+        assert select_mprs(one_hop, masks(two_map)) == \
+            reference_select_mprs(one_hop, two_map), trial
+        reach = [frozenset(two_map.get(n, set()) - set(one_hop)) for n in one_hop]
+        seen["self_named"] += any(me in r for r in reach)
+        seen["missing"] += len(two_map) < len(one_hop)
+        seen["empty"] += any(not two_map[n] for n in two_map)
+        seen["tie"] += len({r for r in reach if r}) < sum(1 for r in reach if r)
+    assert min(seen.values()) >= 20, seen
+
+
 # -- route computation (pure) --------------------------------------------------
 
 def test_shortest_routes_chain():
-    routes = shortest_routes(0, [1], {1: {2}})
+    routes = shortest_routes(0, [1], adjacency({1: {2}}))
     assert routes[2] == (1, 2)
     assert routes[1] == (1, 1)
 
 
 def test_shortest_routes_skips_unreachable():
-    routes = shortest_routes(0, [1], {3: {4}})
+    routes = shortest_routes(0, [1], adjacency({3: {4}}))
     assert 3 not in routes and 4 not in routes
 
 
 def test_shortest_routes_prefers_lowest_next_hop():
     # two equal-length paths to 9 via 1 and via 5
-    routes = shortest_routes(0, [1, 5], {1: {9}, 5: {9}})
+    routes = shortest_routes(0, [1, 5], adjacency({1: {9}, 5: {9}}))
     assert routes[9] == (1, 2)
 
 
@@ -75,7 +150,7 @@ def test_shortest_routes_match_bfs_on_seeded_graphs():
     for trial in range(50):
         adj = random_graph(s, 20, 0.18)
         dist = bfs_distances(adj, 0)
-        routes = shortest_routes(0, adj[0], adj)
+        routes = shortest_routes(0, adj[0], masks(adj))
         for dest, d in dist.items():
             if dest == 0:
                 continue
@@ -137,7 +212,7 @@ def test_shortest_routes_equal_reference_with_order():
     seen = dict(asymmetric=0, self_advertised=0, bare_neighbour=0, unreachable=0)
     for trial in range(300):
         me, one_hop, edges = random_known_graph(s)
-        routes = shortest_routes(me, one_hop, edges)
+        routes = shortest_routes(me, one_hop, adjacency(edges))
         assert list(routes.items()) == \
             list(reference_shortest_routes(me, one_hop, edges).items()), trial
         nodes = set(one_hop) | set(edges)
@@ -169,7 +244,7 @@ def test_hello_discovers_links_and_two_hop():
     a, b, c = (olsr_of(world, i) for i in range(3))
     assert set(b.links) == {0, 2}
     assert set(a.links) == {1}
-    assert 2 in a.links[1][0]  # C visible via B
+    assert 2 in members(a.links[1][0])  # C visible via B
 
 
 def test_isolated_node_emits_empty_hello():
@@ -306,6 +381,17 @@ def test_tc_relay_economy_bounded_by_mpr_nodes():
 
 # -- cached tables --------------------------------------------------------------
 
+def table_edges(node):
+    """node -> set of the ids it names, rebuilt from the node's links and
+    topology tables."""
+    edges = {}
+    for nbr, (named, _, _) in node.links.items():
+        edges.setdefault(nbr, set()).update(members(named))
+    for origin, (advertised, _, _) in node.topology.items():
+        edges.setdefault(origin, set()).update(members(advertised))
+    return edges
+
+
 def check_caches(monkeypatch, cfg):
     """Run cfg and check, at every process_hello, that the cached MPR set is
     what select_mprs gives on the current tables, and at every
@@ -319,18 +405,14 @@ def check_caches(monkeypatch, cfg):
     def checked_hello(node, msg, sender):
         process_hello(node, msg, sender)
         counts["hello"] += 1
-        two_map = {n: set(their) for n, (their, _, _) in node.links.items()}
-        assert node.mpr_set == select_mprs(set(node.links), two_map)
+        two_map = {n: set(members(named)) for n, (named, _, _) in node.links.items()}
+        assert node.mpr_set == reference_select_mprs(set(node.links), two_map)
 
     def checked_routes(node):
         routes = compute_routes(node)
         counts["routes"] += 1
-        edges = {}
-        for nbr, (their, _, _) in node.links.items():
-            edges.setdefault(nbr, set()).update(their)
-        for origin, (advertised, _, _) in node.topology.items():
-            edges.setdefault(origin, set()).update(advertised)
-        expect = reference_shortest_routes(node.node.id, list(node.links), edges)
+        expect = reference_shortest_routes(node.node.id, list(node.links),
+                                           table_edges(node))
         assert list(routes.items()) == list(expect.items())
         return routes
 
@@ -356,3 +438,68 @@ def test_caches_match_fresh_computation_across_phase_resets(monkeypatch):
     cfg = ScenarioConfig(protocol="cml", n=20, seed=1, duration=120.0, warmup=20.0)
     counts = check_caches(monkeypatch, cfg)
     assert counts["reset"] > 0 and counts["hello"] > 1000 and counts["routes"] > 100
+
+
+# -- incremental masks (property) -------------------------------------------------
+
+PEER = st.integers(1, 6)
+NAMES = st.frozensets(st.integers(0, 6), max_size=3)
+# route lookups come twice as often as the other steps: an expiry is only
+# purged, and a stale route only seen, at a lookup or a receipt
+STEP = st.one_of(
+    st.tuples(st.just("hello"), PEER, NAMES, st.booleans()),
+    st.tuples(st.just("tc"), PEER, NAMES, PEER),
+    st.tuples(st.just("advance"), st.floats(0.0, 16.0)),
+    st.just(("routes",)),
+    st.just(("routes",)),
+    st.just(("reset",)),
+)
+
+
+def rebuilt_masks(node):
+    """(_out, _adj) rebuilt from the node's tables, zero rows left out."""
+    me = node.node.id
+    out = {a: mask(ids - {me}) for a, ids in table_edges(node).items() if ids - {me}}
+    adj = adjacency({a: members(m) for a, m in out.items()})
+    return out, {a: m for a, m in adj.items() if m}
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(STEP, min_size=20, max_size=60))
+def test_incremental_masks_match_rebuild(steps):
+    """After every HELLO, TC, clock advance, route lookup or reset, _out and
+    _adj equal masks rebuilt from links and topology, and a clean _dirty
+    means the adjacency and one-hop keys are those the routes came from."""
+    world = make_world([(0.0, 0.0), (5000.0, 5000.0)], width=6000.0, height=6000.0)
+    world.relay_after_jitter = lambda *args: None
+    node = olsr.OlsrNode(world, world.nodes[0])
+    seq = 0
+    last = None
+    for step in steps:
+        if step[0] == "hello":
+            _, sender, names, selected = step
+            node.process_hello(pk.HelloMsg(
+                origin=sender, neighbor_list=tuple(sorted(names - {sender})),
+                mpr_flags=frozenset({0} if selected else ())), sender)
+        elif step[0] == "tc":
+            _, origin, names, prev_hop = step
+            seq += 1
+            msg = pk.TcMsg(origin=origin, advertised=tuple(sorted(names - {origin})),
+                           sequence=seq)
+            node.process_tc(pk.Frame(kind=pk.TC, msg=msg, sender=prev_hop), prev_hop)
+        elif step[0] == "advance":
+            world.kernel.run_until(world.kernel.now + step[1])
+        elif step[0] == "routes":
+            before = node._routes
+            routes = node.compute_routes()
+            assert list(routes.items()) == list(reference_shortest_routes(
+                0, list(node.links), table_edges(node)).items())
+            if routes is not before:
+                last = (rebuilt_masks(node)[1], set(node.links))
+        else:
+            node.reset()
+        out, adj = rebuilt_masks(node)
+        assert {a: m for a, m in node._out.items() if m} == out
+        assert {a: m for a, m in node._adj.items() if m} == adj
+        if not node._dirty:
+            assert (adj, set(node.links)) == last
