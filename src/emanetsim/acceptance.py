@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from . import packets as pk
 from . import security as sec
+from .cml import confirmed_shift
 from .config import PROTOCOLS, ScenarioConfig, SweepSpec
 from .network import World
 from .olsr import mask, select_mprs, shortest_routes
@@ -362,7 +363,7 @@ def criterion_goodput(parallel=2):
 PHASE_SIZES = (5, 8, 10, 20, 30, 50)
 
 # What the phase-machine and adversary criteria read from one static run:
-# each node's stable phase, the transitions.log lines, and t_osc.
+# each node's stable phase, the network.Transition records, and t_osc.
 PhaseRun = namedtuple("PhaseRun", "phases transitions t_osc")
 
 
@@ -412,8 +413,7 @@ def hysteresis_runs(parallel=2):
 def criterion_hysteresis(parallel=2):
     fails = []
     for cfg, run in hysteresis_runs(parallel):
-        shifts = [l for l in run.transitions
-                  if "\tp-phase\tr-phase\t" in l or "\tr-phase\tp-phase\t" in l]
+        shifts = [r for r in run.transitions if confirmed_shift(r)]
         if shifts:
             fails.append(f"seed={cfg.seed}: {len(shifts)} confirmed shifts")
     return CriterionResult.of("8b hysteresis", fails,
@@ -421,14 +421,13 @@ def criterion_hysteresis(parallel=2):
 
 
 def _rate_limit_violations(run):
-    """(node, t, t_next) for each pair of consecutive confirmed shifts
-    (p-phase <-> r-phase) of one node closer together than run.t_osc."""
+    """(node, t, t_next) for each pair of consecutive confirmed shifts of
+    one node closer together than run.t_osc."""
     per_node = {}
     out = []
-    for line in run.transitions:
-        t, node, frm, to, _ = line.split("\t")
-        if frm in ("p-phase", "r-phase") and to in ("p-phase", "r-phase"):
-            per_node.setdefault(node, []).append(float(t))
+    for r in run.transitions:
+        if confirmed_shift(r):
+            per_node.setdefault(r.node, []).append(r.t)
     for node, times in per_node.items():
         for a, b in zip(times, times[1:]):
             if b - a < run.t_osc - 1e-9:
@@ -468,13 +467,13 @@ def adversary_runs(parallel=2):
 
 
 def _adversary_shifts(run):
-    """Transition lines triggered by a change-phase packet an adversary forged."""
-    return [l for l in run.transitions if ":adv" in l]
+    """Transitions triggered by a change-phase packet an adversary forged."""
+    return [r for r in run.transitions if r.trigger.endswith(":adv")]
 
 
 def _probe_decisions(run):
-    """Probe-verdict transition lines, without their times."""
-    return [l.split("\t")[1:] for l in run.transitions if "probe-" in l]
+    """Probe-verdict transitions, without their times."""
+    return [r[1:] for r in run.transitions if r.trigger.startswith("probe-")]
 
 
 def criterion_adversary(parallel=2):

@@ -78,7 +78,7 @@ def cmd_attack(args):
     cfg = cfg.replace(protocol="cml", adversary=adversary).validate()
     summary, world = run_scenario(cfg, out_dir=args.out,
                                   run_name=f"attack_{args.behavior}_{cfg.security_mode}")
-    triggered = [l for l in world.transitions if ":adv" in l]
+    triggered = [r for r in world.transitions if r.trigger.endswith(":adv")]
     print(f"attack={args.behavior} security={cfg.security_mode} N={cfg.n}: "
           f"{len(triggered)} adversary-triggered phase shifts, "
           f"{world.metrics.rejected_packets} packets rejected, "

@@ -23,6 +23,12 @@ P_PHASE = "p-phase"
 R_PHASE = "r-phase"
 O_TOWARD_R = "o-toward-r"
 O_TOWARD_P = "o-toward-p"
+STABLE = (P_PHASE, R_PHASE)
+
+
+def confirmed_shift(record):
+    """True when a transition record moves a node between the stable phases."""
+    return record.frm in STABLE and record.to in STABLE and record.frm != record.to
 
 
 def derive_nht(nst_effective, k):
@@ -64,7 +70,9 @@ class CmlNode:
         # o-phase bookkeeping
         self._tc_checks_left = 0
         self._o_deadline = None
-        self._probe = None  # {"stage", "heard", "ids", "open", "window"}
+        # the open probe: {"id", "window", "heard": it got a reply,
+        # "silent": an earlier window got none}
+        self._probe = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -123,41 +131,36 @@ class CmlNode:
             self.phase = O_TOWARD_P
             self.world.log_transition(self.node.id, R_PHASE, O_TOWARD_P,
                                       f"estimate={estimate}")
-            self._probe = {"stage": 0, "heard": [False, False],
-                           "ids": [None, None], "open": [False, False],
-                           "window": None}
-            self._start_probe(0)
+            self._probe = {"silent": False}
+            self._start_probe(last=False)
 
     # -- toward-p probing -------------------------------------------------------
 
     def _effective_nht(self):
         return derive_nht(max(1, self.cfg.nst - self.cfg.x), self.cfg.k)
 
-    def _start_probe(self, stage):
+    def _start_probe(self, last):
         self._probe_counter += 1
         pid = self._probe_counter
         st = self._probe
-        st["stage"] = stage
-        st["ids"][stage] = pid
-        st["open"][stage] = True
+        st["id"], st["heard"] = pid, False
         msg = pk.HcReqMsg(origin=self.node.id, probe_id=pid,
                           ttl=self._effective_nht())
         self._mark_hcreq((self.node.id, pid), msg.ttl, self.world.kernel.now)
         self.world.broadcast(self.node, pk.HCREQ, msg)
         window = 4.0 * self.aodv.net_traversal_time()
         st["window"] = self.world.kernel.schedule_in(
-            window, lambda: self._probe_window_closed(stage),
+            window, lambda: self._probe_window_closed(last),
             kind="timer", node=self.node.id, detail="hcreq-window")
 
-    def _probe_window_closed(self, stage):
+    def _probe_window_closed(self, last):
         st = self._probe
         if st is None or self.phase != O_TOWARD_P:
             return
-        st["open"][stage] = False
-        if stage == 0:
-            self._start_probe(1)
-            return
-        if not st["heard"][0] or not st["heard"][1]:
+        st["silent"] = st["silent"] or not st["heard"]
+        if not last:
+            self._start_probe(last=True)
+        elif st["silent"]:
             self._shift(P_PHASE, "probe-silent")
         else:
             self._resume(R_PHASE, "probe-replies")
@@ -188,22 +191,24 @@ class CmlNode:
         self.olsr.reset()
         self.aodv.reset()
         self.world.log_transition(self.node.id, frm_stable, target, trigger)
+        self.world.metrics.note_phase_shift(self.world.kernel.now)
         if broadcast:
-            self.cp_seq += 1
-            msg = pk.CpMsg(origin=self.node.id, target_phase=target,
-                           sequence=self.cp_seq)
-            self._cp_seen[self.node.id] = self.cp_seq
-            self.world.broadcast(self.node, pk.CP, msg)
+            self._flood_cp(target)
+
+    def _flood_cp(self, target, adversary_origin=False):
+        self.cp_seq += 1
+        msg = pk.CpMsg(origin=self.node.id, target_phase=target,
+                       sequence=self.cp_seq)
+        self._cp_seen[self.node.id] = self.cp_seq
+        self.world.broadcast(self.node, pk.CP, msg, adversary_origin=adversary_origin)
 
     # -- adversary entry point ---------------------------------------------------
 
     def forge_cp(self, target_phase):
-        """Inject an unauthenticated change-phase flood from this node."""
-        self.cp_seq += 1
-        msg = pk.CpMsg(origin=self.node.id, target_phase=target_phase,
-                       sequence=self.cp_seq)
-        self._cp_seen[self.node.id] = self.cp_seq
-        self.world.broadcast(self.node, pk.CP, msg, adversary_origin=True)
+        """Flood a forged change-phase packet demanding target_phase; returns
+        the phase that the next forgery demands."""
+        self._flood_cp(target_phase, adversary_origin=True)
+        return R_PHASE if target_phase == P_PHASE else P_PHASE
 
     # -- frame dispatch -------------------------------------------------------------
 
@@ -299,10 +304,9 @@ class CmlNode:
                                ttl=self._effective_nht(), is_echo=True,
                                echo_parent=key)
             self._mark_hcreq((self.node.id, pid), echo.ttl, now)
-            self.world.kernel.schedule_in(
-                self.node.streams["proto"].uniform(0.0, self.cfg.hcreq_jitter),
-                lambda: self.world.broadcast(self.node, pk.HCREQ, echo),
-                kind="relay", node=self.node.id, detail="echo-hcreq")
+            self.world.relay_after_jitter(
+                self.node, pk.Frame(kind=pk.HCREQ, msg=echo, sender=self.node.id),
+                "echo-hcreq", self.cfg.hcreq_jitter)
 
     def _send_hcrep(self, reply):
         route = self.aodv.valid_route(reply.origin)
@@ -320,9 +324,7 @@ class CmlNode:
             if forwarded >= 3:
                 return
             self._hcrep_forwarded[fkey] = forwarded + 1
-            route = self.aodv.valid_route(msg.origin)
-            if route is not None:
-                self.world.unicast(self.node, route.next_hop, pk.HCREP, msg)
+            self._send_hcrep(msg)
             return
         echo = self._echoes.pop(msg.probe_id, None)
         if echo is not None:
@@ -332,8 +334,5 @@ class CmlNode:
             self._send_hcrep(fwd)
             return
         st = self._probe
-        if st is None:
-            return
-        for stage in (0, 1):
-            if st["ids"][stage] == msg.probe_id and st["open"][stage]:
-                st["heard"][stage] = True
+        if st is not None and st["id"] == msg.probe_id:
+            st["heard"] = True

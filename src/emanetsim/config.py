@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, fields, replace
 
 from .kernel import RandomStream
 from .mobility import Area, Rect
-from .security import AdversaryRole, ATTACKS, ATTACK_NONE, SECURITY_MODES, DeviceProfile
+from .security import (AdversaryRole, ATTACKS, ATTACK_NONE, ATTACK_OSCILLATE,
+                       SECURITY_MODES, DeviceProfile)
 
 PROTOCOLS = ("olsr", "aodv", "dsr", "cml")
 
@@ -129,17 +130,22 @@ class ScenarioConfig:
         need(self.broadcast_jitter >= 0, "broadcast_jitter", "must be >= 0")
         need(self.hcreq_jitter >= 0, "hcreq_jitter", "must be >= 0")
         need(self.cw_min >= 1, "cw_min", "must be >= 1")
+        need(self.retry_limit >= 0, "retry_limit", "must be >= 0")
         need(0 <= self.v_min <= self.v_max, "v_min", "need 0 <= v_min <= v_max")
         need(self.pause_max >= 0, "pause_max", "must be >= 0")
         need(self.mobility_tick > 0, "tick", "must be > 0")
         need(self.traffic_rate >= 0, "rate", "must be >= 0")
         need(self.traffic_payload > 0, "payload", "must be > 0")
         need(self.traffic_start >= 0, "start", "must be >= 0")
+        need(self.rotation_interval >= 0, "rotation", "must be >= 0 (0 never rotates)")
         need(self.hello_interval > 0, "hello_interval", "must be > 0")
         need(self.tc_interval > 0, "tc_interval", "must be > 0")
         need(self.node_traversal_time >= 0, "node_traversal_time", "must be >= 0")
         need(self.net_diameter >= 0, "net_diameter", "must be >= 0")
         need(self.route_lifetime > 0, "route_lifetime", "must be > 0")
+        need(self.rreq_retries >= 0, "rreq_retries", "must be >= 0")
+        need(self.buffer_cap >= 0, "buffer_cap", "must be >= 0")
+        need(self.buffer_hold >= 0, "buffer_hold", "must be >= 0")
         need(self.seen_lifetime > 0, "seen_lifetime", "must be > 0")
         need(self.cache_paths >= 1, "cache_paths", "must be >= 1")
         need(self.cache_lifetime > 0, "cache_lifetime", "must be > 0")
@@ -150,6 +156,9 @@ class ScenarioConfig:
         need(self.c_p > 0, "c_p", "must be > 0")
         need(self.adversary.behavior in ATTACKS, "adversary.behavior",
              f"must be one of {ATTACKS}")
+        need(self.adversary.behavior in (ATTACK_NONE, ATTACK_OSCILLATE)
+             or self.protocol == "cml", "adversary.behavior",
+             f"{self.adversary.behavior} needs protocol cml")
         need(self.adversary.period > 0, "adversary.period", "must be > 0")
         need(self.adversary.target_phase in ("p-phase", "r-phase"),
              "adversary.target_phase", "must be p-phase or r-phase")

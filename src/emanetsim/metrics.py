@@ -117,6 +117,10 @@ class MetricLog:
             self.data_dropped += 1
             self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
 
+    def note_phase_shift(self, now):
+        if now >= self.warmup:
+            self.phase_shifts += 1
+
     def record_delivery(self, flow_id, seq, send_time, recv_time, hops, crypto_delay):
         if recv_time < send_time:
             raise ValueError("delivery before send")

@@ -17,7 +17,7 @@ no loss. Oracle tests use this to check routing logic under uniform per-hop
 delay.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from functools import partial
 
 from . import mobility as mob
@@ -25,6 +25,11 @@ from . import packets as pk
 from . import security as sec
 from .kernel import EventKernel
 from .metrics import MetricLog
+
+
+# One phase transition of one node; runner.run_scenario writes each as a
+# transitions.log line.
+Transition = namedtuple("Transition", "t node frm to trigger")
 
 
 class _QueuedTx:
@@ -307,12 +312,7 @@ class World:
         self.metrics.note_data_dropped(msg.send_time, reason)
 
     def log_transition(self, node_id, frm, to, trigger):
-        self.transitions.append(
-            f"{self.kernel.now:.9f}\t{node_id}\t{frm}\t{to}\t{trigger}")
-        stable = ("p-phase", "r-phase")
-        if frm in stable and to in stable and frm != to:
-            if self.kernel.now >= self.cfg.warmup:
-                self.metrics.phase_shifts += 1
+        self.transitions.append(Transition(self.kernel.now, node_id, frm, to, trigger))
 
     # ---- traffic ----------------------------------------------------------
 
@@ -376,6 +376,8 @@ class World:
     def _start_adversaries(self):
         adv = self.cfg.adversary
         if adv.behavior == sec.ATTACK_FORGE_CP:
+            # one alternation of the demanded phase, shared by every forger
+            self._forge_target = adv.target_phase
             for i in adv.nodes:
                 self.kernel.schedule(self.cfg.warmup * 0.5 + adv.period,
                                      lambda n=i: self._forge_cp(n, adv),
@@ -385,14 +387,8 @@ class World:
                                  kind="attack")
 
     def _forge_cp(self, node_id, adv):
-        node = self.nodes[node_id]
-        driver = node.driver
-        target = adv.target_phase
-        if hasattr(driver, "forge_cp"):
-            driver.forge_cp(target)
-            self.metrics.adversary_injected += 1
-            # alternate the demanded phase to keep disrupting
-            adv.target_phase = "p-phase" if target == "r-phase" else "r-phase"
+        self._forge_target = self.nodes[node_id].driver.forge_cp(self._forge_target)
+        self.metrics.adversary_injected += 1
         self.kernel.schedule_in(adv.period, lambda: self._forge_cp(node_id, adv),
                                 kind="attack", node=node_id)
 

@@ -97,7 +97,7 @@ class OlsrNode:
         # expiry; whether it selected this node as an MPR)
         self.links = {}
         self.mpr_set = set()
-        # origin -> (mask of its advertised selectors, seq, expiry)
+        # origin -> (mask of its advertised selectors, expiry)
         self.topology = {}
         # derived from links and topology, kept up to date as they change:
         # _out[a] = the links mask | the topology mask of a, this node
@@ -215,7 +215,7 @@ class OlsrNode:
         advertised = mask(msg.advertised)
         known = self.topology.get(msg.origin)
         expiry = now + 3.0 * self.cfg.tc_interval
-        self.topology[msg.origin] = (advertised, msg.sequence, expiry)
+        self.topology[msg.origin] = (advertised, expiry)
         if known is None or known[0] != advertised:
             self._update_out(msg.origin)
         if expiry < self._next_expiry:
@@ -240,14 +240,14 @@ class OlsrNode:
         if dead:
             self._dirty = True
             self._mprs_stale = True
-        gone = [o for o, (_, _, exp) in self.topology.items() if exp <= now]
+        gone = [o for o, (_, exp) in self.topology.items() if exp <= now]
         for o in gone:
             del self.topology[o]
         for a in dead + gone:
             self._update_out(a)
         self._next_expiry = min(
             min((exp for _, exp, _ in self.links.values()), default=float("inf")),
-            min((exp for _, _, exp in self.topology.values()), default=float("inf")))
+            min((exp for _, exp in self.topology.values()), default=float("inf")))
 
     def _update_out(self, a):
         """Recompute _out[a] from the tables and toggle in _adj each edge

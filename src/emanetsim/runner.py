@@ -41,8 +41,8 @@ def run_scenario(cfg, out_dir=None, run_name=None):
         if trace_fh is not None:
             trace_fh.close()
     with open(os.path.join(run_dir, "transitions.log"), "w") as fh:
-        for line in world.transitions:
-            fh.write(line + "\n")
+        for r in world.transitions:
+            fh.write(f"{r.t:.9f}\t{r.node}\t{r.frm}\t{r.to}\t{r.trigger}\n")
     with open(os.path.join(run_dir, "manifest.ini"), "w") as fh:
         fh.write(dump_config(cfg))
     mt.write_summary_csv([summary], os.path.join(out_dir, "summary.csv"), append=True)

@@ -1,9 +1,12 @@
 """Adversary behaviors and the authentication gate, end to end."""
 
+import copy
+
 import pytest
 
-from emanetsim.config import ScenarioConfig
-from emanetsim.runner import static_connected_world
+from emanetsim.cml import confirmed_shift
+from emanetsim.config import ScenarioConfig, parse_config
+from emanetsim.runner import run_scenario, static_connected_world
 from emanetsim.security import AdversaryRole
 
 
@@ -18,7 +21,7 @@ def attack_cfg(behavior, nodes, security="none", n=9, period=40.0, **kw):
 
 
 def adversary_shifts(world):
-    return [l for l in world.transitions if ":adv" in l]
+    return [r for r in world.transitions if r.trigger.endswith(":adv")]
 
 
 def test_forged_cp_flips_unprotected_network():
@@ -26,7 +29,7 @@ def test_forged_cp_flips_unprotected_network():
     world.run()
     shifts = adversary_shifts(world)
     assert len(shifts) >= 1
-    assert any("\tp-phase\tr-phase\t" in l for l in shifts)
+    assert any((r.frm, r.to) == ("p-phase", "r-phase") for r in shifts)
 
 
 def test_forged_cp_rejected_under_hybrid():
@@ -49,15 +52,25 @@ def test_esp_only_has_no_authentication_gate():
     assert len(adversary_shifts(world)) >= 1
 
 
+def test_forge_cp_leaves_the_config_alone(tmp_path):
+    # forgeries at 60, 100 and 140 s: an odd count ends on the flipped
+    # phase, which the run must not write back into the caller's config
+    cfg = attack_cfg("forge-cp", (7,), n=8, duration=150.0, v_min=0.0, v_max=0.0)
+    before = copy.deepcopy(cfg)
+    _, world = run_scenario(cfg, out_dir=str(tmp_path), run_name="run")
+    assert world.metrics.adversary_injected == 3
+    assert cfg == before
+    manifest = parse_config((tmp_path / "run" / "manifest.ini").read_text())
+    assert manifest.adversary.target_phase == "r-phase"
+
+
 def test_oscillating_group_within_tolerance_never_confirms():
     # 10 stable nodes plus 2 oscillators, x = 2: counts never exceed nst + x
     cfg = attack_cfg("oscillate", (10, 11), n=12, period=20.0, x=2,
                      duration=300.0)
     world = static_connected_world(cfg)
     world.run()
-    stable = [l for l in world.transitions
-              if "\tp-phase\tr-phase\t" in l or "\tr-phase\tp-phase\t" in l]
-    assert stable == []
+    assert [r for r in world.transitions if confirmed_shift(r)] == []
 
 
 def test_oscillating_group_beyond_tolerance_confirms():
@@ -65,7 +78,7 @@ def test_oscillating_group_beyond_tolerance_confirms():
                      duration=300.0)
     world = static_connected_world(cfg)
     world.run()
-    stable = [l for l in world.transitions if "\tp-phase\tr-phase\t" in l]
+    stable = [r for r in world.transitions if (r.frm, r.to) == ("p-phase", "r-phase")]
     assert len(stable) >= 1
 
 
@@ -75,10 +88,9 @@ def test_oscillation_rate_limit_holds_under_attack():
     world = static_connected_world(cfg)
     world.run()
     per_node = {}
-    for line in world.transitions:
-        t, node, frm, to, _ = line.split("\t")
-        if frm in ("p-phase", "r-phase") and to in ("p-phase", "r-phase"):
-            per_node.setdefault(node, []).append(float(t))
+    for r in world.transitions:
+        if confirmed_shift(r):
+            per_node.setdefault(r.node, []).append(r.t)
     for node, times in per_node.items():
         for a, b in zip(times, times[1:]):
             assert b - a >= world.cfg.t_osc - 1e-9, (node, a, b)
@@ -92,8 +104,8 @@ def test_tampered_probes_rejected_under_hybrid():
                          duration=260.0)
         world = static_connected_world(cfg)
         world.run()
-        return [l.split("\t")[1:] for l in world.transitions
-                if "probe-" in l], world
+        return [r[1:] for r in world.transitions
+                if r.trigger.startswith("probe-")], world
 
     clean, w1 = probe_decisions("none")
     tampered, w2 = probe_decisions("tamper-hcreq")

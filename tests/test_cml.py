@@ -4,7 +4,7 @@ from conftest import chain_positions, make_world
 from emanetsim import packets as pk
 from emanetsim.aodv import PURGE_SLACK, Discovery
 from emanetsim.cml import (O_TOWARD_P, O_TOWARD_R, P_PHASE, R_PHASE, CmlNode,
-                           derive_nht)
+                           confirmed_shift, derive_nht)
 from emanetsim.config import ScenarioConfig
 from emanetsim.network import World
 
@@ -159,7 +159,7 @@ def test_small_network_confirms_toward_p():
     assert d.phase == O_TOWARD_P
     run_probe_cycle(world, d)
     assert d.phase == P_PHASE
-    assert any("probe-silent" in line for line in world.transitions)
+    assert any(r.trigger == "probe-silent" for r in world.transitions)
 
 
 def test_large_network_resumes_r():
@@ -171,7 +171,7 @@ def test_large_network_resumes_r():
     assert d.phase == O_TOWARD_P
     run_probe_cycle(world, d)
     assert d.phase == R_PHASE
-    assert any("probe-replies" in line for line in world.transitions)
+    assert any(r.trigger == "probe-replies" for r in world.transitions)
     assert d.timer_active()
 
 
@@ -181,7 +181,7 @@ def test_reply_in_one_window_only_confirms():
     d = drv(world, 0)
     d._on_rrep(2)
     st = d._probe
-    st["heard"][0] = True  # pretend window 1 heard a reply; window 2 stays silent
+    st["heard"] = True  # pretend window 1 heard a reply; window 2 stays silent
     run_probe_cycle(world, d)
     assert d.phase == P_PHASE
 
@@ -213,15 +213,15 @@ def test_hcreq_positive_ttl_relays_and_echoes():
     world = cml_world(chain_positions(3))
     force_r_phase(world)
     d1 = drv(world, 1)
-    relayed, broadcasted = [], []
-    world.relay = lambda node, frame: relayed.append(frame)
-    world.broadcast = lambda node, kind, msg, **kw: broadcasted.append((kind, msg))
+    relayed = []
+    world.relay = lambda node, frame: relayed.append(frame.msg)
     msg = pk.HcReqMsg(origin=0, probe_id=7, ttl=3)
     d1.process_hcreq(pk.Frame(kind=pk.HCREQ, msg=msg, sender=0), 0)
     world.kernel.run_until(world.kernel.now + 1.0)
-    assert len(relayed) == 1
-    assert relayed[0].msg.ttl == 2
-    echoes = [m for k, m in broadcasted if k == pk.HCREQ and m.is_echo]
+    relays = [m for m in relayed if not m.is_echo]
+    assert len(relays) == 1
+    assert relays[0].ttl == 2
+    echoes = [m for m in relayed if m.is_echo]
     assert len(echoes) == 1
     assert echoes[0].echo_parent == (0, 7)
     assert echoes[0].ttl == d1._effective_nht()
@@ -231,36 +231,42 @@ def test_hcreq_duplicate_ignored():
     world = cml_world(chain_positions(3))
     force_r_phase(world)
     d1 = drv(world, 1)
-    relayed, broadcasted = [], []
-    world.relay = lambda node, frame: relayed.append(frame)
-    world.broadcast = lambda node, kind, msg, **kw: broadcasted.append((kind, msg))
+    relayed = []
+    world.relay = lambda node, frame: relayed.append(frame.msg)
     msg = pk.HcReqMsg(origin=0, probe_id=7, ttl=3)
     d1.process_hcreq(pk.Frame(kind=pk.HCREQ, msg=msg, sender=0), 0)
     d1.process_hcreq(pk.Frame(kind=pk.HCREQ, msg=msg, sender=2), 2)
     world.kernel.run_until(world.kernel.now + 1.0)
-    assert len(relayed) == 1
-    assert len([m for k, m in broadcasted if k == pk.HCREQ]) == 1  # one echo
+    assert len([m for m in relayed if not m.is_echo]) == 1
+    assert len([m for m in relayed if m.is_echo]) == 1
 
 
 def test_echoes_do_not_spawn_echoes():
     world = cml_world(chain_positions(7))
     force_r_phase(world)
     probes = []
-    orig_broadcast = world.broadcast
+    orig_broadcast, orig_relay = world.broadcast, world.relay
 
-    def spy(node, kind, msg, **kw):
+    def spy_broadcast(node, kind, msg, **kw):
         if kind == pk.HCREQ:
             probes.append((node.id, msg))
         orig_broadcast(node, kind, msg, **kw)
 
-    world.broadcast = spy
+    def spy_relay(node, frame):
+        if frame.kind == pk.HCREQ:
+            probes.append((node.id, frame.msg))
+        orig_relay(node, frame)
+
+    world.broadcast = spy_broadcast
+    world.relay = spy_relay
     d = drv(world, 0)
     d._on_rrep(2)
     run_probe_cycle(world, d)
     primary_ids = {(0, m.probe_id) for n, m in probes if not m.is_echo and n == 0}
-    for n, m in probes:
-        if m.is_echo:
-            assert m.echo_parent in primary_ids  # every echo's parent is a primary probe
+    echoes = [m for _, m in probes if m.is_echo]
+    assert echoes
+    for m in echoes:
+        assert m.echo_parent in primary_ids  # every echo's parent is a primary probe
 
 
 def test_echo_reply_forwarded_to_parent_origin():
@@ -279,7 +285,7 @@ def test_late_reply_has_no_effect():
     d = drv(world, 0)
     d._on_rrep(2)
     st = d._probe
-    pid = st["ids"][0]
+    pid = st["id"]
     run_probe_cycle(world, d)
     assert d.phase == P_PHASE
     # a reply arriving after the windows closed changes nothing
@@ -378,8 +384,8 @@ def test_confirmed_shifts_rate_limited():
     d.adaptive_check_p()
     d._on_tc()
     assert d.phase == R_PHASE
-    stable = [l for l in world.transitions if "\tp-phase\tr-phase\t" in l]
-    assert len(stable) == 1
+    stable = [r for r in world.transitions if confirmed_shift(r)]
+    assert [(r.frm, r.to) for r in stable] == [(P_PHASE, R_PHASE)]
     # immediately try the reverse direction: timer blocks o-phase entry
     d._on_rrep(1)
     assert d.phase == R_PHASE

@@ -72,6 +72,15 @@ def test_obstacle_parsing():
     ("[area]\nheight = -100\n", "height"),
     ("[radio]\nideal_channel = maybe\n", "ideal_channel"),
     ("[area]\nobstacles = 1,2,3\n", "obstacles"),
+    ("[traffic]\nrotation = -5\n", "rotation"),
+    ("[radio]\nretry_limit = -1\n", "retry_limit"),
+    ("[aodv]\nrreq_retries = -3\n", "rreq_retries"),
+    ("[aodv]\nbuffer_cap = -2\n", "buffer_cap"),
+    ("[aodv]\nbuffer_hold = -1\n", "buffer_hold"),
+    ("[scenario]\nprotocol = olsr\n[adversary]\nbehavior = forge-cp\n", "behavior"),
+    ("[scenario]\nprotocol = aodv\n[adversary]\nbehavior = tamper-hcreq\n",
+     "behavior"),
+    ("[scenario]\nprotocol = dsr\n[adversary]\nbehavior = drop-cp\n", "behavior"),
     ("[traffic]\npattern = fixed-pairs\n", "pattern"),   # removed key
     ("nodes = 5\n", "section headers"),
 ])

@@ -387,7 +387,7 @@ def table_edges(node):
     edges = {}
     for nbr, (named, _, _) in node.links.items():
         edges.setdefault(nbr, set()).update(members(named))
-    for origin, (advertised, _, _) in node.topology.items():
+    for origin, (advertised, _) in node.topology.items():
         edges.setdefault(origin, set()).update(members(advertised))
     return edges
 
