@@ -162,6 +162,10 @@ class ScenarioConfig:
         need(self.adversary.period > 0, "adversary.period", "must be > 0")
         need(self.adversary.target_phase in ("p-phase", "r-phase"),
              "adversary.target_phase", "must be p-phase or r-phase")
+        need(self.adversary.nodes or self.adversary.behavior == ATTACK_NONE,
+             "adversary.nodes", f"{self.adversary.behavior} needs at least one node")
+        need(len(set(self.adversary.nodes)) == len(self.adversary.nodes),
+             "adversary.nodes", "ids must not repeat")
         for i in self.adversary.nodes:
             need(0 <= i < self.n, "adversary.nodes", "ids must be < nodes")
         area = self.build_area()

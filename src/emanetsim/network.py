@@ -15,6 +15,11 @@ With ideal_channel=True all of that is bypassed: every transmission reaches
 its snapshot receivers after the serialization delay, with no contention and
 no loss. Oracle tests use this to check routing logic under uniform per-hop
 delay.
+
+On either channel a transmission has one rx event, which hands the frame to
+each of its receivers in order. The contended channel schedules it from the
+tx-end event that settles collisions and retries at the end of the airtime;
+the ideal channel has no tx-end and schedules it when the frame is sent.
 """
 
 from collections import deque, namedtuple
@@ -154,11 +159,10 @@ class World:
     def _enqueue(self, node, frame):
         if not node.active:
             return
-        item = _QueuedTx(frame, self.kernel.now)
         if self.cfg.ideal_channel:
-            self._transmit(node, item)
+            self._transmit(node, frame)
             return
-        node.queue.append(item)
+        node.queue.append(_QueuedTx(frame, self.kernel.now))
         self._pump(node)
 
     def _schedule_pump(self, node, at):
@@ -184,17 +188,18 @@ class World:
             backoff = cfg.slot_time * node.streams["mac"].randrange(cfg.cw_min)
             self._schedule_pump(node, node.air_busy_until + backoff)
             return
-        self._transmit(node, item)
+        self._transmit(node, item.frame, item)
 
-    def _transmit(self, node, item):
-        """Put item's frame on the air; one tx-end event settles every
-        receiver. On the ideal channel the tx-end hands the frame to the
-        receivers in range when it was sent, a transmission that reaches no
-        one schedules none, and a unicast to a non-neighbour is dropped."""
+    def _transmit(self, node, frame, item=None):
+        """Put frame on the air. On the contended channel item is its queue
+        entry, and a tx-end event settles every receiver at the end of the
+        airtime. On the ideal channel (no item) the rx event is scheduled
+        here, for the receivers in range when the frame was sent; a
+        transmission that reaches no one schedules none, and a unicast to a
+        non-neighbour is dropped."""
         cfg = self.cfg
         kernel = self.kernel
         now = kernel.now
-        frame = item.frame
         msg = frame.msg
         size = msg.wire_size()
         cost = self._crypto_costs.get(size)
@@ -221,10 +226,8 @@ class World:
 
         if cfg.ideal_channel:
             if deliver_to:
-                kernel.schedule(now + (snd_delay + airtime),
-                                partial(self._schedule_receptions, deliver_to, frame,
-                                        rcv_delay),
-                                kind="tx-end", node=node.id, detail=frame.kind)
+                self._schedule_rx(now + (snd_delay + airtime), deliver_to, frame,
+                                  rcv_delay)
             elif receiver is not None and frame.kind == pk.DATA:
                 self.data_dropped(msg, "no-link")
             return
@@ -277,30 +280,40 @@ class World:
             return
 
         node.queue.popleft()
-        self._schedule_receptions(ok_receivers, frame, rcv_delay)
+        if ok_receivers:
+            self._schedule_rx(now, ok_receivers, frame, rcv_delay)
         if node.queue:
             self._schedule_pump(node, now)
 
-    def _schedule_receptions(self, v_ids, frame, rcv_delay):
-        """One rx event per active receiver, after processing and crypto."""
+    def _schedule_rx(self, air_end, v_ids, frame, rcv_delay):
+        """One rx event for all of v_ids, after processing and crypto. Its
+        trace line names the sender in the node column and the receivers in
+        the detail, as KIND>3,7,12."""
         kernel = self.kernel
+        detail = frame.kind
+        if kernel.trace is not None:
+            detail = f"{detail}>{','.join(map(str, v_ids))}"
+        kernel.schedule(air_end + self.cfg.processing_delay + rcv_delay,
+                        partial(self._receive, v_ids, frame, rcv_delay),
+                        kind="rx", node=frame.sender, detail=detail)
+
+    def _receive(self, v_ids, frame, rcv_delay):
+        """Hand frame to each receiver still active, in order. The
+        authentication gate and the frame's kind and sender are read once
+        per frame, which holds because no handler changes the kind, sender,
+        sec_valid or adversary_origin of a frame it received."""
         nodes = self.nodes
-        handler_at = kernel.now + self.cfg.processing_delay + rcv_delay
+        if self._authenticates and not sec.accept_packet(frame, self.cfg.security_mode):
+            self.metrics.rejected_packets += sum(nodes[v_id].active for v_id in v_ids)
+            return
+        data = frame.kind == pk.DATA
+        sender = frame.sender
         for v_id in v_ids:
             v = nodes[v_id]
             if v.active:
-                kernel.schedule(handler_at, partial(self._receive, v, frame, rcv_delay),
-                                kind="rx", node=v_id, detail=frame.kind)
-
-    def _receive(self, node, frame, rcv_delay):
-        if not node.active:
-            return
-        if self._authenticates and not sec.accept_packet(frame, self.cfg.security_mode):
-            self.metrics.rejected_packets += 1
-            return
-        if frame.kind == pk.DATA:
-            frame.msg.crypto_delay += rcv_delay
-        node.driver.on_frame(frame, frame.sender)
+                if data:
+                    frame.msg.crypto_delay += rcv_delay
+                v.driver.on_frame(frame, sender)
 
     # ---- data bookkeeping -------------------------------------------------
 

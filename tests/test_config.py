@@ -81,6 +81,8 @@ def test_obstacle_parsing():
     ("[scenario]\nprotocol = aodv\n[adversary]\nbehavior = tamper-hcreq\n",
      "behavior"),
     ("[scenario]\nprotocol = dsr\n[adversary]\nbehavior = drop-cp\n", "behavior"),
+    ("[adversary]\nbehavior = forge-cp\n", "adversary.nodes"),
+    ("[adversary]\nbehavior = oscillate\nnodes = 3,3\n", "adversary.nodes"),
     ("[traffic]\npattern = fixed-pairs\n", "pattern"),   # removed key
     ("nodes = 5\n", "section headers"),
 ])

@@ -38,18 +38,34 @@ CELLS["cml-n20-forge-cp"] = dict(
 # cell -> (sha256 of summary.csv, sha256 of transitions.log[, sha256 of
 # trace.log when the cell traces])
 GOLDEN = {
-    'aodv-n20': ('09e0ac6016d3a6510bb1e2820711c7fe5148c6a1f736ab38c859ca7c9a5c1728', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '6656eda752a732441b894e73a9f6bcfd3cf6ba3aa07b9df284935a3eb8749432'),
+    'aodv-n20': ('09e0ac6016d3a6510bb1e2820711c7fe5148c6a1f736ab38c859ca7c9a5c1728', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'e625c822b7057e840760deebb6f2497ca0619ab63ace6f53133acf79fa430bba'),
     'aodv-n5': ('8101b4e5cd69ce5cf6aeb5cbc8b6610196abea6e148dd97de3af49539cab8102', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'cml-n20': ('436f967e3468efd9fe947dab2987fee716fecfeaa51ead62aaeb30509edd2f7f', '2ccd8fa14806f9ff33794e123f47f4b903adab5de3d56778a79c91b08df6cb59'),
     'cml-n20-forge-cp': ('2348adebe84d8e136e498429af68a5faddf69ce12db4b9da29eb9095c0b54764', 'c8fa7c23000c39a62cea859b5aff2fd51de5611dda00c4a937927848cea6340c'),
-    'cml-n20-hybrid': ('b70976f164c989222044f228380ced9cdbffb71556d8eb0a12db1b8303ae0134', '8f5d0f2b0a04d085e4ac302c9e9a11018e29d11289937a40cd0f8c6dee81e62f', 'c84a418c4f5ae46f8c7a0ec47a777b11a01e5934e4f2dcca5effa06265face46'),
-    'cml-n20-ideal-hybrid': ('5a28d309a673f3694f27c6cc8afe191d1d05951181aaba461541dc25256f075c', 'eb8c55b4fb97f4d489d3cebb96b38e7ab102213b2c18ea68034d88080111af92', '42cb1e5fc75ae3a19937c606215cdbf568da9a9695af1927cd3bd80dcc6e200c'),
+    'cml-n20-hybrid': ('b70976f164c989222044f228380ced9cdbffb71556d8eb0a12db1b8303ae0134', '8f5d0f2b0a04d085e4ac302c9e9a11018e29d11289937a40cd0f8c6dee81e62f', 'cf72257462c6931f705aa04facbcdd8141b0ebac4e4e06d56a9253d4e43ddf8f'),
+    'cml-n20-ideal-hybrid': ('5a28d309a673f3694f27c6cc8afe191d1d05951181aaba461541dc25256f075c', 'eb8c55b4fb97f4d489d3cebb96b38e7ab102213b2c18ea68034d88080111af92', '8a24c6288945d480ca61edf12f9ef9dfa9ed7bca34a758a69fde10684d992cda'),
     'cml-n5': ('49c7f8a2ddbbca6aebd99dfd75d7a69b3c2361aa2a53e082aea3709a1d7221c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'dsr-n20': ('a5d79a8f41e6119b76cfa65c8166355e020a29ae46a47c57be14d6c823b87923', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '0715c76816d9d4b5fa26efd6e207476a04364052f96a4e25fce715aa6a5ad9d5'),
+    'dsr-n20': ('a5d79a8f41e6119b76cfa65c8166355e020a29ae46a47c57be14d6c823b87923', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '0d7a3a17488f1ec09773af1482a7552fd15564e12c596d23bd0732b21177f925'),
     'dsr-n5': ('0a58d34c7a551d4ed9ef02a1235542e13502e0be6562f943dce94bb59cb7b690', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'olsr-n20': ('d6792e4e6ee0e431f186560fb966c7e6081965d4ed24d84288b9c651aaac642f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '7ff319bddf0312b5beec03d5b864777fb2e667262eeb226883c3464bdc4525a4'),
+    'olsr-n20': ('d6792e4e6ee0e431f186560fb966c7e6081965d4ed24d84288b9c651aaac642f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'b6ae6bb3d516290b0d25b97d501919b9c36a955690f07180985db557f4f6ba91'),
     'olsr-n5': ('3720a73c183183b9db1733ef7f22c2f00c3e17c9b1e096f6a4e7db92fc5b2ce3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'olsr-n50': ('2968ac0ef67cbdbf6b81a8f14456c23f7c769655baf2eba4a9adb27f2fde5155', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '07aca7d9cc2b8222850ab48599428c1d58940ae2a4dd6f654b22cc268b472677'),
+    'olsr-n50': ('2968ac0ef67cbdbf6b81a8f14456c23f7c769655baf2eba4a9adb27f2fde5155', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '11c22f6402c35e2812feb98b4946798058a2a3582cd6644df69be1a26b7c5dc6'),
+}
+
+# cell -> sha256 of its trace.log with every rx line expanded into one line
+# per receiver, "t<TAB>receiver<TAB>rx<TAB>KIND", the form the trace had while
+# each receiver had an rx event of its own. The five contended cells keep the
+# trace digests they had then; the ideal cell's is its trace of then with the
+# tx-end lines removed, since the ideal channel no longer has that event.
+# Equal digests show that one rx event per transmission only regrouped the
+# trace.
+EXPANDED_TRACE = {
+    'aodv-n20': '6656eda752a732441b894e73a9f6bcfd3cf6ba3aa07b9df284935a3eb8749432',
+    'cml-n20-hybrid': 'c84a418c4f5ae46f8c7a0ec47a777b11a01e5934e4f2dcca5effa06265face46',
+    'cml-n20-ideal-hybrid': '4e9b7a58990e96fa341c85279d175ad77b3b40298ea01ab46dcafeb4591d5b7e',
+    'dsr-n20': '0715c76816d9d4b5fa26efd6e207476a04364052f96a4e25fce715aa6a5ad9d5',
+    'olsr-n20': '7ff319bddf0312b5beec03d5b864777fb2e667262eeb226883c3464bdc4525a4',
+    'olsr-n50': '07aca7d9cc2b8222850ab48599428c1d58940ae2a4dd6f654b22cc268b472677',
 }
 
 # 48 runs; the sparse traffic leaves some cells without deliveries, so the
@@ -79,6 +95,23 @@ def cell_digests(name, out_dir):
     return tuple(sha256_of(os.path.join(out_dir, p)) for p in paths)
 
 
+def expanded_trace_digest(path):
+    """sha256 of a trace.log whose rx lines, "t<TAB>sender<TAB>rx<TAB>KIND>3,7",
+    are each replaced by one "t<TAB>receiver<TAB>rx<TAB>KIND" line per
+    receiver."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for line in fh:
+            t, node, kind, detail = line.split(b"\t", 3)
+            if kind != b"rx":
+                digest.update(line)
+                continue
+            frame_kind, receivers = detail.rstrip(b"\n").split(b">")
+            for v in receivers.split(b","):
+                digest.update(b"%s\t%s\trx\t%s\n" % (t, v, frame_kind))
+    return digest.hexdigest()
+
+
 def sweep_digests(out_dir):
     run_sweep(SWEEP, out_dir=out_dir)
     return tuple(sha256_of(os.path.join(out_dir, p)) for p in SWEEP_FILES)
@@ -87,6 +120,13 @@ def sweep_digests(out_dir):
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_golden_digests(name, tmp_path):
     assert cell_digests(name, str(tmp_path)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPANDED_TRACE))
+def test_expanded_trace_matches_per_receiver_trace(name, tmp_path):
+    cell_digests(name, str(tmp_path))
+    path = os.path.join(str(tmp_path), "run", "trace.log")
+    assert expanded_trace_digest(path) == EXPANDED_TRACE[name]
 
 
 def test_golden_sweep_digests(tmp_path):

@@ -108,9 +108,9 @@ def test_world_crypto_cost_cache_matches_apply_security(mode):
     sizes = set()
     transmit = world._transmit
 
-    def recording_transmit(node, item):
-        sizes.add(item.frame.msg.wire_size())
-        transmit(node, item)
+    def recording_transmit(node, frame, item=None):
+        sizes.add(frame.msg.wire_size())
+        transmit(node, frame, item)
 
     world._transmit = recording_transmit
     world.run()
