@@ -9,14 +9,14 @@ validation error names the offending key.
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
+import operator
+from dataclasses import dataclass, field, replace
 
 from .kernel import RandomStream
 from .mobility import Area, Rect
+from .protocols import PROTOCOLS
 from .security import (AdversaryRole, ATTACKS, ATTACK_NONE, ATTACK_OSCILLATE,
                        SECURITY_MODES, DeviceProfile)
-
-PROTOCOLS = ("olsr", "aodv", "dsr", "cml")
 
 
 class ConfigError(Exception):
@@ -108,60 +108,28 @@ class ScenarioConfig:
     # -- validation -------------------------------------------------------------
 
     def validate(self):
+        """Check every key against its _KEYS bound (every float must be
+        finite), then the rules that read two keys."""
         def need(cond, key, constraint):
             if not cond:
                 raise ConfigError(f"{key}: {constraint}")
 
-        need(self.protocol in PROTOCOLS, "protocol", f"must be one of {PROTOCOLS}")
-        need(self.security_mode in SECURITY_MODES, "security",
-             f"must be one of {SECURITY_MODES}")
-        need(self.n >= 2, "nodes", "must be >= 2")
-        need(self.warmup >= 0, "warmup", "must be >= 0")
+        for section, key, attr, _, bound in _KEYS:
+            value = getattr(*_owner(self, attr))
+            name = attr if section == "adversary" else key
+            need(not isinstance(value, float) or math.isfinite(value), name,
+                 "must be finite")
+            if isinstance(bound, tuple):
+                need(value in bound, name, f"must be one of {bound}")
+            elif bound:
+                op, limit = bound.split()
+                need(_COMPARE[op](value, float(limit)), name, f"must be {bound}")
         need(self.duration > self.warmup, "duration", "must exceed warmup")
-        need(self.radius > 0, "radius", "must be > 0")
-        need(self.width >= 0, "width", "must be >= 0 (0 sizes the area from nodes)")
-        need(self.height >= 0, "height", "must be >= 0 (0 sizes the area from nodes)")
-        need(self.area_scale > 0, "scale", "must be > 0")
-        need(self.bandwidth_bps > 0, "bandwidth", "must be > 0")
-        need(self.processing_delay >= 0, "processing_delay", "must be >= 0")
-        need(self.mac_overhead_bytes >= 0, "mac_overhead", "must be >= 0")
-        need(self.difs >= 0, "difs", "must be >= 0")
-        need(self.slot_time >= 0, "slot", "must be >= 0")
-        need(self.broadcast_jitter >= 0, "broadcast_jitter", "must be >= 0")
-        need(self.hcreq_jitter >= 0, "hcreq_jitter", "must be >= 0")
-        need(self.cw_min >= 1, "cw_min", "must be >= 1")
-        need(self.retry_limit >= 0, "retry_limit", "must be >= 0")
-        need(0 <= self.v_min <= self.v_max, "v_min", "need 0 <= v_min <= v_max")
-        need(self.pause_max >= 0, "pause_max", "must be >= 0")
-        need(self.mobility_tick > 0, "tick", "must be > 0")
-        need(self.traffic_rate >= 0, "rate", "must be >= 0")
-        need(self.traffic_payload > 0, "payload", "must be > 0")
-        need(self.traffic_start >= 0, "start", "must be >= 0")
-        need(self.rotation_interval >= 0, "rotation", "must be >= 0 (0 never rotates)")
-        need(self.hello_interval > 0, "hello_interval", "must be > 0")
-        need(self.tc_interval > 0, "tc_interval", "must be > 0")
-        need(self.node_traversal_time >= 0, "node_traversal_time", "must be >= 0")
-        need(self.net_diameter >= 0, "net_diameter", "must be >= 0")
-        need(self.route_lifetime > 0, "route_lifetime", "must be > 0")
-        need(self.rreq_retries >= 0, "rreq_retries", "must be >= 0")
-        need(self.buffer_cap >= 0, "buffer_cap", "must be >= 0")
-        need(self.buffer_hold >= 0, "buffer_hold", "must be >= 0")
-        need(self.seen_lifetime > 0, "seen_lifetime", "must be > 0")
-        need(self.cache_paths >= 1, "cache_paths", "must be >= 1")
-        need(self.cache_lifetime > 0, "cache_lifetime", "must be > 0")
-        need(self.nst >= 1, "nst", "must be >= 1")
-        need(0 <= self.x < self.nst, "x", "need 0 <= x < nst")
-        need(self.t_osc > 0, "t_osc", "must be > 0")
-        need(self.k > 0, "k", "must be > 0")
-        need(self.c_p > 0, "c_p", "must be > 0")
-        need(self.adversary.behavior in ATTACKS, "adversary.behavior",
-             f"must be one of {ATTACKS}")
+        need(self.v_min <= self.v_max, "v_min", "must not exceed v_max")
+        need(self.x < self.nst, "x", "must be < nst")
         need(self.adversary.behavior in (ATTACK_NONE, ATTACK_OSCILLATE)
              or self.protocol == "cml", "adversary.behavior",
              f"{self.adversary.behavior} needs protocol cml")
-        need(self.adversary.period > 0, "adversary.period", "must be > 0")
-        need(self.adversary.target_phase in ("p-phase", "r-phase"),
-             "adversary.target_phase", "must be p-phase or r-phase")
         need(self.adversary.nodes or self.adversary.behavior == ATTACK_NONE,
              "adversary.nodes", f"{self.adversary.behavior} needs at least one node")
         need(len(set(self.adversary.nodes)) == len(self.adversary.nodes),
@@ -177,7 +145,6 @@ class ScenarioConfig:
         return self
 
 
-# INI schema: section -> {key: (attr, parser)}
 def _parse_bool(s):
     v = s.strip().lower()
     if v in ("1", "true", "yes", "on"):
@@ -207,82 +174,72 @@ def _parse_ids(s):
     return tuple(int(v) for v in s.split(","))
 
 
-_SCHEMA = {
-    "scenario": {
-        "protocol": ("protocol", str),
-        "security": ("security_mode", str),
-        "nodes": ("n", int),
-        "duration": ("duration", float),
-        "warmup": ("warmup", float),
-        "seed": ("seed", int),
-    },
-    "area": {
-        "width": ("width", float),
-        "height": ("height", float),
-        "scale": ("area_scale", float),
-        "obstacles": ("obstacles", _parse_obstacles),
-    },
-    "radio": {
-        "radius": ("radius", float),
-        "bandwidth": ("bandwidth_bps", float),
-        "mac_overhead": ("mac_overhead_bytes", int),
-        "processing_delay": ("processing_delay", float),
-        "difs": ("difs", float),
-        "slot": ("slot_time", float),
-        "cw_min": ("cw_min", int),
-        "retry_limit": ("retry_limit", int),
-        "broadcast_jitter": ("broadcast_jitter", float),
-        "hcreq_jitter": ("hcreq_jitter", float),
-        "ideal_channel": ("ideal_channel", _parse_bool),
-    },
-    "mobility": {
-        "v_min": ("v_min", float),
-        "v_max": ("v_max", float),
-        "pause_max": ("pause_max", float),
-        "tick": ("mobility_tick", float),
-    },
-    "traffic": {
-        "rate": ("traffic_rate", float),
-        "payload": ("traffic_payload", int),
-        "rotation": ("rotation_interval", float),
-        "start": ("traffic_start", float),
-    },
-    "olsr": {
-        "hello_interval": ("hello_interval", float),
-        "tc_interval": ("tc_interval", float),
-    },
-    "aodv": {
-        "node_traversal_time": ("node_traversal_time", float),
-        "net_diameter": ("net_diameter", int),
-        "route_lifetime": ("route_lifetime", float),
-        "rreq_retries": ("rreq_retries", int),
-        "buffer_cap": ("buffer_cap", int),
-        "buffer_hold": ("buffer_hold", float),
-        "seen_lifetime": ("seen_lifetime", float),
-    },
-    "dsr": {
-        "cache_paths": ("cache_paths", int),
-        "cache_lifetime": ("cache_lifetime", float),
-    },
-    "cml": {
-        "nst": ("nst", int),
-        "x": ("x", int),
-        "t_osc": ("t_osc", float),
-        "k": ("k", float),
-    },
-    "security": {
-        "c_p": ("c_p", float),
-    },
-    "adversary": {
-        "behavior": ("adversary.behavior", str),
-        "nodes": ("adversary.nodes", _parse_ids),
-        "period": ("adversary.period", float),
-        "target_phase": ("adversary.target_phase", str),
-    },
-    "output": {
-        "trace": ("trace", _parse_bool),
-    },
-}
+_COMPARE = {">": operator.gt, ">=": operator.ge}
+
+# Every INI key once, in manifest order: (section, key, attribute, parser,
+# bound). A bound is a tuple of allowed values, a comparison such as ">= 0",
+# or None when only a rule in validate() that reads two keys applies.
+_KEYS = (
+    ("scenario", "protocol", "protocol", str, PROTOCOLS),
+    ("scenario", "security", "security_mode", str, SECURITY_MODES),
+    ("scenario", "nodes", "n", int, ">= 2"),
+    ("scenario", "duration", "duration", float, None),
+    ("scenario", "warmup", "warmup", float, ">= 0"),
+    ("scenario", "seed", "seed", int, None),
+    ("area", "width", "width", float, ">= 0"),    # 0 sizes the area from nodes
+    ("area", "height", "height", float, ">= 0"),
+    ("area", "scale", "area_scale", float, "> 0"),
+    ("area", "obstacles", "obstacles", _parse_obstacles, None),
+    ("radio", "radius", "radius", float, "> 0"),
+    ("radio", "bandwidth", "bandwidth_bps", float, "> 0"),
+    ("radio", "mac_overhead", "mac_overhead_bytes", int, ">= 0"),
+    ("radio", "processing_delay", "processing_delay", float, ">= 0"),
+    ("radio", "difs", "difs", float, ">= 0"),
+    ("radio", "slot", "slot_time", float, ">= 0"),
+    ("radio", "cw_min", "cw_min", int, ">= 1"),
+    ("radio", "retry_limit", "retry_limit", int, ">= 0"),
+    ("radio", "broadcast_jitter", "broadcast_jitter", float, ">= 0"),
+    ("radio", "hcreq_jitter", "hcreq_jitter", float, ">= 0"),
+    ("radio", "ideal_channel", "ideal_channel", _parse_bool, None),
+    ("mobility", "v_min", "v_min", float, ">= 0"),
+    ("mobility", "v_max", "v_max", float, ">= 0"),
+    ("mobility", "pause_max", "pause_max", float, ">= 0"),
+    ("mobility", "tick", "mobility_tick", float, "> 0"),
+    ("traffic", "rate", "traffic_rate", float, ">= 0"),
+    ("traffic", "payload", "traffic_payload", int, "> 0"),
+    ("traffic", "rotation", "rotation_interval", float, ">= 0"),  # 0 never rotates
+    ("traffic", "start", "traffic_start", float, ">= 0"),
+    ("olsr", "hello_interval", "hello_interval", float, "> 0"),
+    ("olsr", "tc_interval", "tc_interval", float, "> 0"),
+    ("aodv", "node_traversal_time", "node_traversal_time", float, ">= 0"),
+    ("aodv", "net_diameter", "net_diameter", int, ">= 0"),
+    ("aodv", "route_lifetime", "route_lifetime", float, "> 0"),
+    ("aodv", "rreq_retries", "rreq_retries", int, ">= 0"),
+    ("aodv", "buffer_cap", "buffer_cap", int, ">= 0"),
+    ("aodv", "buffer_hold", "buffer_hold", float, ">= 0"),
+    ("aodv", "seen_lifetime", "seen_lifetime", float, "> 0"),
+    ("dsr", "cache_paths", "cache_paths", int, ">= 1"),
+    ("dsr", "cache_lifetime", "cache_lifetime", float, "> 0"),
+    ("cml", "nst", "nst", int, ">= 1"),
+    ("cml", "x", "x", int, ">= 0"),
+    ("cml", "t_osc", "t_osc", float, "> 0"),
+    ("cml", "k", "k", float, "> 0"),
+    ("security", "c_p", "c_p", float, "> 0"),
+    ("adversary", "behavior", "adversary.behavior", str, ATTACKS),
+    ("adversary", "nodes", "adversary.nodes", _parse_ids, None),
+    ("adversary", "period", "adversary.period", float, "> 0"),
+    ("adversary", "target_phase", "adversary.target_phase", str,
+     ("p-phase", "r-phase")),
+    ("output", "trace", "trace", _parse_bool, None),
+)
+_ROWS = {(section, key): row for section, key, *row in _KEYS}
+
+
+def _owner(cfg, attr):
+    """The object that holds attr and the field name there: "adversary.period"
+    is cfg.adversary's period, any other attribute is cfg's own."""
+    head, _, name = attr.rpartition(".")
+    return (cfg.adversary if head else cfg), name
 
 
 def parse_config(text):
@@ -294,23 +251,19 @@ def parse_config(text):
     except configparser.Error as e:
         raise ConfigError(f"config parse failure: {e}") from None
     cfg = ScenarioConfig()
-    adversary = AdversaryRole()
+    sections = {section for section, *_ in _KEYS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(f"{section}: unknown section")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _ROWS:
                 raise ConfigError(f"{section}.{key}: unknown key")
-            attr, conv = _SCHEMA[section][key]
+            attr, conv, _ = _ROWS[section, key]
             try:
                 value = conv(raw)
             except (ValueError, TypeError) as e:
                 raise ConfigError(f"{section}.{key}: {e}") from None
-            if attr.startswith("adversary."):
-                setattr(adversary, attr.split(".", 1)[1], value)
-            else:
-                setattr(cfg, attr, value)
-    cfg.adversary = adversary
+            setattr(*_owner(cfg, attr), value)
     return cfg.validate()
 
 
@@ -321,20 +274,16 @@ def load_config(path):
 
 def dump_config(cfg):
     """Resolved configuration as INI text (the per-run manifest)."""
+    sections = {}
+    for section, key, attr, _, _ in _KEYS:
+        value = getattr(*_owner(cfg, attr))
+        if attr == "obstacles":
+            value = "; ".join(",".join(str(x) for x in ob) for ob in value)
+        elif isinstance(value, tuple):
+            value = ",".join(str(x) for x in value)
+        sections.setdefault(section, {})[key] = str(value)
     parser = configparser.ConfigParser(interpolation=None)
-    for section, keys in _SCHEMA.items():
-        parser[section] = {}
-        for key, (attr, _) in keys.items():
-            if attr.startswith("adversary."):
-                value = getattr(cfg.adversary, attr.split(".", 1)[1])
-            else:
-                value = getattr(cfg, attr)
-            if isinstance(value, tuple):
-                if attr == "obstacles":
-                    value = "; ".join(",".join(str(x) for x in ob) for ob in value)
-                else:
-                    value = ",".join(str(x) for x in value)
-            parser[section][key] = str(value)
+    parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -1,21 +1,21 @@
 """Protocol driver registry used by the world at run start."""
 
-from .aodv import AodvNode
-from .cml import CmlNode
-from .dsr import DsrNode
-from .olsr import OlsrNode
+from importlib import import_module
 
+# protocol -> "module.DriverClass". The module is imported on first use, so
+# importing the package (config reads PROTOCOLS) does not load every driver.
 _DRIVERS = {
-    "olsr": OlsrNode,
-    "aodv": AodvNode,
-    "dsr": DsrNode,
-    "cml": CmlNode,
+    "olsr": "olsr.OlsrNode",
+    "aodv": "aodv.AodvNode",
+    "dsr": "dsr.DsrNode",
+    "cml": "cml.CmlNode",
 }
+PROTOCOLS = tuple(_DRIVERS)
 
 
 def make_driver(protocol, world, node):
     try:
-        cls = _DRIVERS[protocol]
+        module, cls = _DRIVERS[protocol].split(".")
     except KeyError:
         raise ValueError(f"unknown protocol {protocol!r}") from None
-    return cls(world, node)
+    return getattr(import_module(f".{module}", __package__), cls)(world, node)

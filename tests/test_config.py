@@ -1,9 +1,14 @@
 import math
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emanetsim.config import (ConfigError, ScenarioConfig, SweepSpec,
-                              dump_config, parse_config, parse_sizes)
+from emanetsim.config import (_KEYS, PROTOCOLS, ConfigError, ScenarioConfig,
+                              SweepSpec, dump_config, parse_config, parse_sizes)
+from emanetsim.runner import run_scenario
+from emanetsim.security import ATTACKS, SECURITY_MODES, AdversaryRole
 
 
 def test_defaults_validate():
@@ -83,6 +88,11 @@ def test_obstacle_parsing():
     ("[scenario]\nprotocol = dsr\n[adversary]\nbehavior = drop-cp\n", "behavior"),
     ("[adversary]\nbehavior = forge-cp\n", "adversary.nodes"),
     ("[adversary]\nbehavior = oscillate\nnodes = 3,3\n", "adversary.nodes"),
+    ("[area]\nwidth = inf\n", "width"),
+    ("[traffic]\nrate = inf\n", "rate"),
+    ("[scenario]\nduration = inf\n", "duration"),
+    ("[radio]\nbandwidth = inf\n", "bandwidth"),
+    ("[adversary]\nperiod = inf\n", "period"),
     ("[traffic]\npattern = fixed-pairs\n", "pattern"),   # removed key
     ("nodes = 5\n", "section headers"),
 ])
@@ -147,3 +157,76 @@ def test_sweep_enumeration_deterministic_order():
                    ("aodv", "none", 10, 1), ("aodv", "none", 10, 2)]
     assert key == [(c.protocol, c.security_mode, c.n, c.seed)
                    for c in spec.cells()]
+
+
+def _rejected(parser, bound):
+    """Values of one _KEYS row that validate() must reject: outside a tuple
+    bound, on the wrong side of a comparison (the limit itself when it is
+    strict, just past it, a negative), and any non-finite float."""
+    if isinstance(bound, tuple):
+        return st.text(string.ascii_lowercase + string.digits + "-",
+                       min_size=1).filter(lambda v: v not in bound)
+    nonfinite = st.sampled_from([math.inf, -math.inf, math.nan])
+    if bound is None:
+        return nonfinite
+    op, limit = bound.split()
+    if parser is int:
+        return st.integers(-10**6, int(limit) - (op == ">="))
+    edge = [math.nextafter(float(limit), -math.inf), -1.0]
+    if op == ">":
+        edge.append(float(limit))
+    return st.one_of(nonfinite, st.sampled_from(edge),
+                     st.floats(max_value=float(limit), exclude_max=op == ">=",
+                               allow_nan=False, allow_infinity=False))
+
+
+@pytest.mark.parametrize("section,key,parser,bound", [
+    pytest.param(section, key, parser, bound, id=f"{section}.{key}")
+    for section, key, _, parser, bound in _KEYS
+    if bound is not None or parser is float])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_out_of_bound_values_are_rejected_by_key(section, key, parser, bound,
+                                                 data):
+    value = data.draw(_rejected(parser, bound))
+    name = f"adversary.{key}" if section == "adversary" else key
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[{section}]\n{key} = {value}\n")
+    assert str(err.value).startswith(f"{name}: ")
+
+
+@st.composite
+def _ordinary_configs(draw):
+    """Valid configs on 2-8 nodes and at most 20 simulated seconds, with
+    ordinary periods and rates."""
+    n = draw(st.integers(2, 8))
+    duration = draw(st.floats(2.0, 20.0))
+    behavior = draw(st.sampled_from(ATTACKS))
+    protocol = draw(st.sampled_from(
+        PROTOCOLS if behavior in ("none", "oscillate") else ("cml",)))
+    nodes = () if behavior == "none" else tuple(draw(st.lists(
+        st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+    v_max = draw(st.floats(0.0, 5.0))
+    return ScenarioConfig(
+        protocol=protocol, security_mode=draw(st.sampled_from(SECURITY_MODES)),
+        n=n, duration=duration, warmup=draw(st.floats(0.0, duration / 2)),
+        seed=draw(st.integers(0, 2**31)), area_scale=draw(st.floats(50.0, 300.0)),
+        ideal_channel=draw(st.booleans()), v_min=draw(st.floats(0.0, v_max)),
+        v_max=v_max, traffic_rate=draw(st.floats(0.0, 3.0)),
+        traffic_start=draw(st.floats(0.0, 5.0)), k=draw(st.floats(0.1, 2.0)),
+        mobility_tick=draw(st.floats(0.1, 1.0)),
+        hello_interval=draw(st.floats(0.5, 5.0)),
+        adversary=AdversaryRole(behavior=behavior, nodes=nodes,
+                                period=draw(st.floats(1.0, 20.0)),
+                                target_phase=draw(st.sampled_from(
+                                    ("p-phase", "r-phase"))))).validate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=_ordinary_configs())
+def test_valid_configs_round_trip_and_rerun_identically(cfg):
+    assert parse_config(dump_config(cfg)) == cfg
+    first, world = run_scenario(cfg)
+    again, world_again = run_scenario(cfg)
+    assert first.csv_row() == again.csv_row()
+    assert world.transitions == world_again.transitions
