@@ -6,8 +6,6 @@ No RERR or local repair: broken next hops simply age out and losses surface
 in the metrics.
 """
 
-import math
-
 from . import packets as pk
 
 

@@ -3,9 +3,7 @@ run summaries, and cumulative-over-size aggregation."""
 
 import csv
 import os
-from dataclasses import dataclass, field
-
-from . import packets
+from dataclasses import dataclass
 
 # Per-run metrics: (CSV column, RunSummary attribute, format spec in
 # summary.csv, where "" writes a count as str() does). means.csv gives each

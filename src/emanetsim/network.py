@@ -6,10 +6,12 @@ Each node owns a FIFO transmit queue served one frame at a time. A
 transmission occupies the air at the sender and at every node in radio range
 for its full duration (bytes plus MAC framing, divided by the channel rate).
 Senders carrier-sense: while any audible transmission is ongoing they defer,
-then back off a random number of slots. Two transmissions overlapping at a
-receiver corrupt each other there (hidden terminals included); a node that is
-transmitting cannot receive. Unicast frames are retried up to a limit with
-binary exponential backoff; broadcasts are never retried.
+then back off a random number of slots. A receiver gets frame f when it was
+in range at f's start, was active for all of f, and heard or sent no other
+transmission overlapping f's airtime [start, end), so hidden terminals
+collide. tests/test_channel.py checks this rule against a reference. Unicast
+frames are retried up to a limit with binary exponential backoff; broadcasts
+are never retried.
 
 With ideal_channel=True all of that is bypassed: every transmission reaches
 its snapshot receivers after the serialization delay, with no contention and
@@ -59,7 +61,6 @@ class Node:
         # radio state
         self.queue = deque()
         self.tx_busy_until = 0.0
-        self.last_tx_start = -1.0
         self.air_busy_until = 0.0     # latest end of transmissions audible here
         self.last_collision = -1.0    # last instant two transmissions overlapped here
         self.pump_scheduled = False
@@ -234,7 +235,6 @@ class World:
 
         end = now + (snd_delay + cfg.difs + airtime)
         node.tx_busy_until = end
-        node.last_tx_start = now
         nodes = self.nodes
         for v_id in audible:
             v = nodes[v_id]
@@ -243,46 +243,41 @@ class World:
                 v.last_collision = now
             if busy_until < end:
                 v.air_busy_until = end
-        started_clear = [v.tx_busy_until <= now and v.last_collision < now
-                         for v in map(nodes.__getitem__, deliver_to)]
 
-        kernel.schedule(end, lambda: self._tx_done(node, item, deliver_to,
-                                                   started_clear, now, rcv_delay),
+        kernel.schedule(end, partial(self._tx_done, node, item, deliver_to, now,
+                                     rcv_delay),
                         kind="tx-end", node=node.id, detail=frame.kind)
 
-    def _tx_done(self, node, item, deliver_to, started_clear, t_start, rcv_delay):
+    def _tx_done(self, node, item, deliver_to, t_start, rcv_delay):
+        """Settle a contended transmission at the end of its airtime, from
+        each target's state then: active, no collision heard since t_start,
+        and nothing sent since (a node switched back on counts as sending)."""
+        queue = node.queue
+        if not queue or queue[0] is not item:
+            return  # the sender was switched off and on, which cleared its queue
         cfg = self.cfg
         now = self.kernel.now
         frame = item.frame
-        nodes = self.nodes
-        ok_receivers = []
-        for v_id, clear in zip(deliver_to, started_clear):
-            v = nodes[v_id]
-            if (clear and v.active
-                    and v.last_collision < t_start and v.last_tx_start < t_start):
-                ok_receivers.append(v_id)
-
-        if frame.receiver is not None and not ok_receivers:
+        ok_receivers = [v.id for v in map(self.nodes.__getitem__, deliver_to)
+                        if v.active and v.last_collision < t_start
+                        and v.tx_busy_until <= t_start]
+        unicast_failed = frame.receiver is not None and not ok_receivers
+        if unicast_failed and item.attempt < cfg.retry_limit:
             item.attempt += 1
-            if item.attempt <= cfg.retry_limit:
-                cw = cfg.cw_min << item.attempt
-                backoff = cfg.slot_time * node.streams["mac"].randrange(cw)
-                item.not_before = now + backoff
-                self._schedule_pump(node, item.not_before)
-                return
-            node.queue.popleft()
+            backoff = cfg.slot_time * node.streams["mac"].randrange(
+                cfg.cw_min << item.attempt)
+            item.not_before = now + backoff
+            self._schedule_pump(node, item.not_before)
+            return
+        queue.popleft()
+        if ok_receivers:
+            self._schedule_rx(now, ok_receivers, frame, rcv_delay)
+        elif unicast_failed:
             if frame.kind == pk.DATA:
                 self.data_dropped(frame.msg, "mac-retry-limit")
             if hasattr(node.driver, "on_link_failure"):
                 node.driver.on_link_failure(frame.receiver)
-            if node.queue:
-                self._schedule_pump(node, now)
-            return
-
-        node.queue.popleft()
-        if ok_receivers:
-            self._schedule_rx(now, ok_receivers, frame, rcv_delay)
-        if node.queue:
+        if queue:
             self._schedule_pump(node, now)
 
     def _schedule_rx(self, air_end, v_ids, frame, rcv_delay):
@@ -410,6 +405,9 @@ class World:
             node = self.nodes[i]
             node.active = not node.active
             if node.active:
+                for queued in node.queue:
+                    if queued.frame.kind == pk.DATA:
+                        self.data_dropped(queued.frame.msg, "node-reset")
                 node.queue.clear()
                 node.tx_busy_until = self.kernel.now
         self.refresh_links()

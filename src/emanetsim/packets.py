@@ -1,6 +1,6 @@
 """Packet kinds, wire sizes for load accounting, and the per-hop frame envelope."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Wire sizes in bytes for routing-load accounting. Header formats are not
 # modeled bit-for-bit; each carried node id costs 4 bytes.
@@ -170,12 +170,12 @@ class Frame:
     sec_valid: bool = True      # cleared for forged or tampered packets
     adversary_origin: bool = False
 
-    def clone_for_relay(self, sender, receiver=None, msg=None):
+    def clone_for_relay(self, sender, msg=None):
+        """A broadcast copy of this frame from sender, with msg if given."""
         return Frame(
             kind=self.kind,
             msg=self.msg if msg is None else msg,
             sender=sender,
-            receiver=receiver,
             sec_valid=self.sec_valid,
             adversary_origin=self.adversary_origin,
         )

@@ -7,7 +7,7 @@ from multiprocessing import get_context
 
 from . import metrics as mt
 from . import plotgen
-from .config import ScenarioConfig, SweepSpec, dump_config
+from .config import ScenarioConfig, dump_config
 from .mobility import hop_distances
 from .network import World
 

@@ -6,6 +6,7 @@ import pytest
 
 from emanetsim.cml import confirmed_shift
 from emanetsim.config import ScenarioConfig, parse_config
+from emanetsim.network import World
 from emanetsim.runner import run_scenario, static_connected_world
 from emanetsim.security import AdversaryRole
 
@@ -94,6 +95,37 @@ def test_oscillation_rate_limit_holds_under_attack():
     for node, times in per_node.items():
         for a, b in zip(times, times[1:]):
             assert b - a >= world.cfg.t_osc - 1e-9, (node, a, b)
+
+
+def fast_oscillation_world(protocol, period):
+    """8 static nodes on the contended channel, half of them switched every
+    period: at these periods a node can be switched off and back on while a
+    frame of its own is still on the air."""
+    cfg = ScenarioConfig(
+        protocol=protocol, n=8, duration=20.0, warmup=0.0, seed=1,
+        v_min=0.0, v_max=0.0, traffic_rate=4.0,
+        adversary=AdversaryRole(behavior="oscillate", nodes=(0, 1, 2, 3),
+                                period=period)).validate()
+    return World(cfg)
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "olsr"])
+@pytest.mark.parametrize("period", [0.003, 0.007, 0.011])
+def test_switching_faster_than_a_frame_runs_to_the_end(protocol, period):
+    # switching a node back on clears its queue; the tx-end of the frame it
+    # was sending must not pop another frame, or an empty queue
+    world = fast_oscillation_world(protocol, period)
+    summary = world.run()
+    m = world.metrics
+    assert summary.data_packets_delivered + m.data_dropped <= m.data_sent
+
+
+def test_data_cleared_from_a_queue_counts_as_node_reset():
+    world = fast_oscillation_world("aodv", 0.011)
+    world.run()
+    drops = world.metrics.drops_by_reason
+    assert drops["node-reset"] > 0
+    assert sum(drops.values()) == world.metrics.data_dropped
 
 
 def test_tampered_probes_rejected_under_hybrid():

@@ -1,10 +1,16 @@
-"""The reception event: one rx event per transmission hands the frame to each
+"""The contended channel's reception rule, checked against a reference, and
+the reception event: one rx event per transmission hands the frame to each
 of its receivers in order, on both channels."""
 
-from collections import Counter
+from collections import Counter, namedtuple
+from functools import partial
+from itertools import count
+from types import SimpleNamespace
 
 import pytest
 from conftest import make_world
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emanetsim import packets as pk
 from emanetsim.config import ScenarioConfig
@@ -127,3 +133,114 @@ def test_handlers_leave_received_frames_unchanged(protocol, behavior, monkeypatc
         assert seen[(True, True)] > 0
     if behavior == "tamper-hcreq":
         assert seen[(False, False)] > 0
+
+
+# ---- the reception rule against a reference ----------------------------------
+
+# One transmission as World._transmit put it on the air: the frame, its
+# sender, its airtime [start, end), the nodes in range at its start, the
+# nodes it was meant for, and its place in the order of transmissions,
+# switches and settled ends.
+Tx = namedtuple("Tx", "frame sender start end audible targets order")
+
+# A node switched off stays off for longer than any frame in these runs is
+# on the air (under 4 ms), so no frame overlaps both of its switches.
+MIN_OFF = 0.01
+
+SEND = st.tuples(st.floats(0.0, 1.0),                      # time, share of span
+                 st.integers(0, 6),                        # sender
+                 st.one_of(st.none(), st.integers(0, 6)),  # unicast receiver
+                 st.integers(0, 12))                       # size: ids listed
+SWITCH = st.tuples(st.floats(0.0, 1.0), st.floats(MIN_OFF, 0.2))
+
+
+def reference_receivers(f, txs, switches, settled):
+    """Receivers of f by the rule: v was in range at f's start, stayed active
+    for all of f, and heard or sent no other transmission overlapping
+    [f.start, f.end).
+
+    One tie is part of the rule: the kernel runs events of equal time in the
+    order they were scheduled, so a transmission can start at the instant f
+    ends, before f's end is settled. It still counts against f when v sends
+    it, or when v hears two such starts, which collide at v."""
+    fin = settled[(id(f.frame), f.end)]
+    at_end = [g for g in txs if g.start == f.end and g.order < fin]
+    out = []
+    for v in f.targets:
+        switched = any(node == v and f.order < order < fin
+                       for node, order in switches)
+        overlapped = any(
+            g is not f and g.start < f.end and f.start < g.end
+            and (g.sender == v or v in g.audible) for g in txs)
+        tied = (any(g.sender == v for g in at_end)
+                or sum(v in g.audible for g in at_end) > 1)
+        if not (switched or overlapped or tied):
+            out.append(v)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(positions=st.lists(st.tuples(st.integers(0, 600), st.integers(0, 600)),
+                          min_size=7, max_size=7),
+       sends=st.lists(SEND, min_size=40, max_size=80),
+       span=st.sampled_from([0.03, 0.1, 0.5]),
+       off=st.dictionaries(st.integers(0, 6), SWITCH, max_size=3))
+def test_contended_reception_matches_reference(positions, sends, span, off):
+    """On random static 7-node topologies, 40-80 broadcasts and unicasts at
+    random times (unicasts retried), with up to three nodes switched off and
+    back on by the oscillate path, each transmission's rx event names exactly
+    the receivers that reference_receivers gives."""
+    world = make_world(positions)
+    kernel = world.kernel
+    for node in world.nodes:
+        node.driver = Recorder(node.id, [])
+    order, txs, switches, settled, rx = count(), [], [], {}, {}
+    transmit, tx_done, schedule_rx = (world._transmit, world._tx_done,
+                                      world._schedule_rx)
+
+    def recording_transmit(node, frame, item=None):
+        audible = tuple(world.neighbors(node.id))
+        targets = audible if frame.receiver is None else \
+            tuple(v for v in audible if v == frame.receiver)
+        transmit(node, frame, item)
+        txs.append(Tx(frame, node.id, kernel.now, node.tx_busy_until, audible,
+                      targets, next(order)))
+
+    def recording_tx_done(node, item, *rest):
+        settled[(id(item.frame), kernel.now)] = next(order)
+        tx_done(node, item, *rest)
+
+    def recording_schedule_rx(air_end, v_ids, frame, rcv_delay):
+        rx[(id(frame), air_end)] = list(v_ids)
+        schedule_rx(air_end, v_ids, frame, rcv_delay)
+
+    world._transmit = recording_transmit
+    world._tx_done = recording_tx_done
+    world._schedule_rx = recording_schedule_rx
+
+    def switch(v, back_on):
+        switches.append((v, next(order)))
+        world._toggle_group(SimpleNamespace(nodes=(v,), period=1e6))
+        if back_on:
+            # its view of the air is stale: it may send over a frame on the air
+            world.broadcast(world.nodes[v], pk.HELLO,
+                            pk.HelloMsg(v, tuple(range(4)), frozenset()))
+
+    for at, sender, receiver, listed in sends:
+        node = world.nodes[sender]
+        msg = pk.HelloMsg(sender, tuple(range(listed)), frozenset())
+        if receiver is None:
+            send = partial(world.broadcast, node, pk.HELLO, msg)
+        else:
+            send = partial(world.unicast, node, receiver, pk.HELLO, msg)
+        kernel.schedule(at * span, send)
+    for v, (at, length) in sorted(off.items()):
+        kernel.schedule(at * span, partial(switch, v, False))
+        kernel.schedule(at * span + length, partial(switch, v, True))
+    kernel.run_until(span + 1.0)
+
+    assert len(settled) == len(txs)
+    for f in txs:
+        assert rx.pop((id(f.frame), f.end), []) == \
+            reference_receivers(f, txs, switches, settled), f
+    assert rx == {}

@@ -34,6 +34,10 @@ CELLS["cml-n20-ideal-hybrid"] = dict(
 CELLS["cml-n20-forge-cp"] = dict(
     protocol="cml", n=20,
     adversary=AdversaryRole(behavior="forge-cp", nodes=(19,), period=20.0))
+# the only cell that switches nodes off and back on during a run
+CELLS["cml-n20-oscillate"] = dict(
+    protocol="cml", n=20,
+    adversary=AdversaryRole(behavior="oscillate", nodes=(18, 19), period=20.0))
 
 # cell -> (sha256 of summary.csv, sha256 of transitions.log[, sha256 of
 # trace.log when the cell traces])
@@ -44,6 +48,7 @@ GOLDEN = {
     'cml-n20-forge-cp': ('2348adebe84d8e136e498429af68a5faddf69ce12db4b9da29eb9095c0b54764', 'c8fa7c23000c39a62cea859b5aff2fd51de5611dda00c4a937927848cea6340c'),
     'cml-n20-hybrid': ('b70976f164c989222044f228380ced9cdbffb71556d8eb0a12db1b8303ae0134', '8f5d0f2b0a04d085e4ac302c9e9a11018e29d11289937a40cd0f8c6dee81e62f', 'cf72257462c6931f705aa04facbcdd8141b0ebac4e4e06d56a9253d4e43ddf8f'),
     'cml-n20-ideal-hybrid': ('5a28d309a673f3694f27c6cc8afe191d1d05951181aaba461541dc25256f075c', 'eb8c55b4fb97f4d489d3cebb96b38e7ab102213b2c18ea68034d88080111af92', '8a24c6288945d480ca61edf12f9ef9dfa9ed7bca34a758a69fde10684d992cda'),
+    'cml-n20-oscillate': ('0253d02f702faba32c484b65947931e9536718d0b2584ebb0b4afd5a853a66e6', 'b98458c117b4ac54b30632d0a96ac76dd62bdc617b055f3b1470813d34aa32c5'),
     'cml-n5': ('49c7f8a2ddbbca6aebd99dfd75d7a69b3c2361aa2a53e082aea3709a1d7221c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'dsr-n20': ('a5d79a8f41e6119b76cfa65c8166355e020a29ae46a47c57be14d6c823b87923', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '0d7a3a17488f1ec09773af1482a7552fd15564e12c596d23bd0732b21177f925'),
     'dsr-n5': ('0a58d34c7a551d4ed9ef02a1235542e13502e0be6562f943dce94bb59cb7b690', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
