@@ -25,7 +25,7 @@ from . import security as sec
 from .cml import confirmed_shift
 from .config import PROTOCOLS, ScenarioConfig, SweepSpec
 from .network import World
-from .olsr import mask, select_mprs, shortest_routes
+from .olsr import mask, route_to, select_mprs, shortest_routes
 from .runner import hop_distances, run_cells, seed_means, static_connected_world
 from .security import AdversaryRole
 
@@ -519,9 +519,15 @@ def criterion_route_oracles():
                     adj[b].add(a)
         adj = {i: sorted(adj[i]) for i in adj}
         dist = hop_distances(adj.__getitem__, 0)
-        routes = shortest_routes(0, adj[0], {i: mask(adj[i]) for i in adj})
+        adj_masks = {i: mask(adj[i]) for i in adj}
+        routes = shortest_routes(0, adj[0], adj_masks)
         for dest, d in dist.items():
             if dest and routes.get(dest, (None, -1))[1] != d:
+                bad_routes += 1
+        # the per-destination lookup the simulator uses gives the same entry,
+        # so its hops are the BFS distance and its next hop the table's
+        for dest in range(1, n):
+            if route_to(0, adj_masks[0], adj_masks, dest) != routes.get(dest):
                 bad_routes += 1
         one = set(adj[0])
         two_map = {v: set(adj[v]) - {0} for v in one}

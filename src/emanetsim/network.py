@@ -293,7 +293,8 @@ class World:
                         kind="rx", node=frame.sender, detail=detail)
 
     def _receive(self, v_ids, frame, rcv_delay):
-        """Hand frame to each receiver still active, in order. The
+        """Hand frame to each receiver still active, in order; DATA whose
+        receiver went inactive since the end of the airtime is dropped. The
         authentication gate and the frame's kind and sender are read once
         per frame, which holds because no handler changes the kind, sender,
         sec_valid or adversary_origin of a frame it received."""
@@ -309,6 +310,8 @@ class World:
                 if data:
                     frame.msg.crypto_delay += rcv_delay
                 v.driver.on_frame(frame, sender)
+            elif data:
+                self.data_dropped(frame.msg, "receiver-inactive")
 
     # ---- data bookkeeping -------------------------------------------------
 

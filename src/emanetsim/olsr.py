@@ -3,17 +3,12 @@ topology database, and hop-count shortest routes.
 
 Simplified relative to the full RFC: single interface, no link hysteresis, no
 willingness. Entries expire after three emission intervals without refresh.
+Derived state is computed where it is read: a route per destination when a
+packet asks for it, and the MPR set when a HELLO is built.
 """
 
 from . import packets as pk
-
-
-def mask(ids):
-    """The int bitmask of a collection of node ids: bit i set for node i."""
-    m = 0
-    for i in ids:
-        m |= 1 << i
-    return m
+from .packets import mask
 
 
 def select_mprs(one_hop, named):
@@ -85,6 +80,48 @@ def shortest_routes(self_id, one_hop, adj):
     return routes
 
 
+def _spread(layer, get):
+    """The union of the adjacency masks get(i) of the nodes i in mask layer."""
+    reach = 0
+    while layer:
+        low = layer & -layer
+        layer ^= low
+        reach |= get(low.bit_length() - 1, 0)
+    return reach
+
+
+def route_to(self_id, one_mask, adj, dest):
+    """The entry shortest_routes(self_id, one_hop, adj) gives dest, with
+    one_mask the mask of one_hop: (next_hop, hops), or None when no path
+    reaches dest.
+
+    A layered search back from dest over adj that never passes self_id. It
+    stops at the first layer that meets one_mask, and the lowest one-hop id
+    in that layer is the next hop: the neighbours in that layer are exactly
+    those with a shortest path to dest, so this is RFC 3626 section 10's
+    tie rule.
+    """
+    if dest == self_id:
+        return None
+    one_mask &= ~(1 << self_id)
+    bit = 1 << dest
+    if one_mask & bit:
+        return dest, 1
+    get = adj.get
+    seen = bit | 1 << self_id
+    layer = bit
+    hops = 1
+    while layer:
+        hops += 1
+        reach = _spread(layer, get)
+        hit = reach & one_mask
+        if hit:
+            return (hit & -hit).bit_length() - 1, hops
+        layer = reach & ~seen
+        seen |= layer
+    return None
+
+
 class OlsrNode:
     """One node's OLSR engine; drives emissions through the world's channel."""
 
@@ -106,12 +143,14 @@ class OlsrNode:
         self._adj = {}
         self.msg_seq = 0
         self._tc_seen = {}
-        self._routes = {}
-        # _dirty: the one-hop keys or _adj changed since the routes were computed;
+        # dest -> next hop or None, as route_to gave it; emptied whenever the
+        # one-hop keys or _adj change
+        self._next_hops = {}
         # _mprs_stale: a neighbor or its neighbor set changed since the last
-        # MPR selection
-        self._dirty = True
+        # copy was taken; _mpr_input: neighbor -> named mask, copied from links
+        # at the receipt that found them stale, for the next HELLO's selection
         self._mprs_stale = True
+        self._mpr_input = None
         # no table entry expires before this time
         self._next_expiry = float("inf")
         self.on_tc_processed = None  # hook for the adaptive layer
@@ -135,8 +174,8 @@ class OlsrNode:
         self._out.clear()
         self._adj.clear()
         self._tc_seen.clear()
-        self._routes = {}
-        self._dirty = True
+        self._next_hops.clear()
+        self._mpr_input = None
 
     # -- emissions ----------------------------------------------------------
 
@@ -160,8 +199,16 @@ class OlsrNode:
         self._purge()
         msg = pk.HelloMsg(origin=self.node.id,
                           neighbor_list=tuple(sorted(self.links)),
-                          mpr_flags=frozenset(self.mpr_set))
+                          mpr_flags=frozenset(self.hello_mprs()))
         self.world.broadcast(self.node, pk.HELLO, msg)
+
+    def hello_mprs(self):
+        """The MPR set the next HELLO carries, selected on the neighbor table
+        as the last receipt that changed it left it."""
+        if self._mpr_input is not None:
+            self.mpr_set = select_mprs(self._mpr_input, self._mpr_input)
+            self._mpr_input = None
+        return self.mpr_set
 
     def emit_tc(self):
         self._purge()
@@ -187,11 +234,11 @@ class OlsrNode:
     def process_hello(self, msg, sender):
         now = self.world.kernel.now
         expiry = now + 3.0 * self.cfg.hello_interval
-        named = mask(msg.neighbor_list) & ~(1 << self.node.id)
+        named = msg.neighbor_mask & ~(1 << self.node.id)
         known = self.links.get(sender)
         self.links[sender] = (named, expiry, self.node.id in msg.mpr_flags)
         if known is None:
-            self._dirty = True
+            self._next_hops.clear()
         if known is None or known[0] != named:
             self._mprs_stale = True
             self._update_out(sender)
@@ -199,8 +246,7 @@ class OlsrNode:
             self._next_expiry = expiry
         self._purge()
         if self._mprs_stale:
-            self.mpr_set = select_mprs(self.links,
-                                       {n: m for n, (m, _, _) in self.links.items()})
+            self._mpr_input = {n: m for n, (m, _, _) in self.links.items()}
             self._mprs_stale = False
 
     def process_tc(self, frame, sender):
@@ -212,7 +258,7 @@ class OlsrNode:
         if msg.sequence <= last:
             return
         self._tc_seen[msg.origin] = msg.sequence
-        advertised = mask(msg.advertised)
+        advertised = msg.advertised_mask
         known = self.topology.get(msg.origin)
         expiry = now + 3.0 * self.cfg.tc_interval
         self.topology[msg.origin] = (advertised, expiry)
@@ -238,7 +284,7 @@ class OlsrNode:
         for n in dead:
             del self.links[n]
         if dead:
-            self._dirty = True
+            self._next_hops.clear()
             self._mprs_stale = True
         gone = [o for o, (_, exp) in self.topology.items() if exp <= now]
         for o in gone:
@@ -252,7 +298,8 @@ class OlsrNode:
     def _update_out(self, a):
         """Recompute _out[a] from the tables and toggle in _adj each edge
         a-b that the change adds or removes, that is, whose bit moved in
-        _out[a] while _out[b] does not name a. Sets _dirty if _adj moved."""
+        _out[a] while _out[b] does not name a. Drops the cached next hops if
+        _adj moved."""
         link = self.links.get(a)
         topo = self.topology.get(a)
         new = ((link[0] if link else 0) | (topo[0] if topo else 0)) & ~(1 << self.node.id)
@@ -267,23 +314,32 @@ class OlsrNode:
             if not out.get(b, 0) & bit:
                 adj[a] = adj.get(a, 0) ^ low
                 adj[b] = adj.get(b, 0) ^ bit
-                self._dirty = True
+                self._next_hops.clear()
 
     def compute_routes(self):
+        """The whole route table, dest -> (next_hop, hops), built afresh."""
         self._purge()
-        if not self._dirty:
-            return self._routes
-        self._routes = shortest_routes(self.node.id, self.links, self._adj)
-        self._dirty = False
-        return self._routes
+        return shortest_routes(self.node.id, self.links, self._adj)
 
     def reachable_count(self):
-        """Total accessible nodes per the routing table, including self."""
-        return len(self.compute_routes()) + 1
+        """Total accessible nodes per the routing table, including self: the
+        one-hop neighbors and all that _adj joins to them without self."""
+        self._purge()
+        get = self._adj.get
+        layer = mask(self.links)
+        seen = layer | 1 << self.node.id
+        while layer:
+            layer = _spread(layer, get) & ~seen
+            seen |= layer
+        return seen.bit_count()
 
     def next_hop(self, dest):
-        route = self.compute_routes().get(dest)
-        return route[0] if route else None
+        self._purge()
+        cache = self._next_hops
+        if dest not in cache:
+            route = route_to(self.node.id, mask(self.links), self._adj, dest)
+            cache[dest] = route[0] if route else None
+        return cache[dest]
 
     # -- data plane -------------------------------------------------------------
 

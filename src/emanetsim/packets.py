@@ -1,6 +1,6 @@
 """Packet kinds, wire sizes for load accounting, and the per-hop frame envelope."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Wire sizes in bytes for routing-load accounting. Header formats are not
 # modeled bit-for-bit; each carried node id costs 4 bytes.
@@ -30,11 +30,23 @@ HCREP = "hcrep"
 DSR_SR_HEADER = "dsr-sr-header"
 
 
+def mask(ids):
+    """The int bitmask of a collection of node ids: bit i set for node i."""
+    m = 0
+    for i in ids:
+        m |= 1 << i
+    return m
+
+
 @dataclass
 class HelloMsg:
     origin: int
     neighbor_list: tuple
     mpr_flags: frozenset
+    neighbor_mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.neighbor_mask = mask(self.neighbor_list)
 
     def wire_size(self):
         return BASE_HEADER + ID_BYTES * len(self.neighbor_list)
@@ -45,6 +57,10 @@ class TcMsg:
     origin: int
     advertised: tuple
     sequence: int
+    advertised_mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.advertised_mask = mask(self.advertised)
 
     def wire_size(self):
         return BASE_HEADER + ID_BYTES * len(self.advertised)

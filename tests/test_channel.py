@@ -78,6 +78,21 @@ def test_receiver_inactive_at_rx_gets_nothing(ideal):
 
 
 @pytest.mark.parametrize("ideal", [True, False])
+def test_data_to_a_receiver_inactive_at_rx_is_dropped(ideal):
+    world, lines, received = star_world(ideal)
+    msg = pk.DataMsg(flow_id=(0, 2), seq=0, src=0, dst=2, payload=32,
+                     send_time=world.kernel.now)
+    world.unicast(world.nodes[0], 2, pk.DATA, msg)
+    run_until_rx_pending(world.kernel)
+    assert world.metrics.data_dropped == 0
+    world.nodes[2].active = False
+    world.kernel.run_until(1.0)
+    assert received == []
+    assert world.metrics.drops_by_reason == {"receiver-inactive": 1}
+    assert world.metrics.data_dropped == 1
+
+
+@pytest.mark.parametrize("ideal", [True, False])
 def test_rejected_frame_counts_each_active_receiver(ideal):
     world, lines, received = star_world(ideal, security_mode="ah-only")
     world.broadcast(world.nodes[0], pk.HELLO, hello(), sec_valid=False)

@@ -9,7 +9,7 @@ from emanetsim import packets as pk
 from emanetsim.config import ScenarioConfig
 from emanetsim.kernel import RandomStream
 from emanetsim.network import World
-from emanetsim.olsr import mask, select_mprs, shortest_routes
+from emanetsim.olsr import mask, route_to, select_mprs, shortest_routes
 
 
 def masks(sets):
@@ -226,6 +226,18 @@ def test_shortest_routes_equal_reference_with_order():
     assert min(seen.values()) >= 20, seen
 
 
+def test_route_to_equals_shortest_routes_entry():
+    # every destination: self, bare neighbours, unreachable and unknown ids
+    s = RandomStream(9).fork("route-to")
+    for trial in range(300):
+        me, one_hop, edges = random_known_graph(s)
+        adj = adjacency(edges)
+        routes = shortest_routes(me, one_hop, adj)
+        for dest in range(101):
+            assert route_to(me, mask(one_hop), adj, dest) == routes.get(dest), \
+                (trial, dest)
+
+
 # -- protocol behavior on worlds -------------------------------------------------
 
 def converge(world, t):
@@ -392,36 +404,62 @@ def table_edges(node):
     return edges
 
 
+def reference_next_hop(node, dest):
+    """dest's next hop by the reference search on edges rebuilt from the
+    node's tables, or None."""
+    route = reference_shortest_routes(node.node.id, list(node.links),
+                                      table_edges(node)).get(dest)
+    return route[0] if route else None
+
+
+def reference_mprs(node):
+    """The reference cover on the node's neighbor table."""
+    two_map = {n: set(members(named)) for n, (named, _, _) in node.links.items()}
+    return reference_select_mprs(set(node.links), two_map)
+
+
 def check_caches(monkeypatch, cfg):
-    """Run cfg and check, at every process_hello, that the cached MPR set is
-    what select_mprs gives on the current tables, and at every
-    compute_routes, that the cached routes are what the reference search
-    gives on edges rebuilt from the tables. Returns the call counts."""
-    counts = dict(hello=0, routes=0, reset=0)
+    """Run cfg and check each read point against the references: every
+    next_hop answer against the reference search on edges rebuilt from the
+    tables; at every process_hello, reachable_count against the size of that
+    search's table plus self; and the MPR set each HELLO carries against the
+    reference cover on the neighbor table as the last receipt left it.
+    Returns the call counts."""
+    counts = dict(hello=0, lookups=0, built=0, reset=0)
+    expected_mprs = {}
     process_hello = olsr.OlsrNode.process_hello
-    compute_routes = olsr.OlsrNode.compute_routes
+    next_hop = olsr.OlsrNode.next_hop
+    hello_mprs = olsr.OlsrNode.hello_mprs
     reset = olsr.OlsrNode.reset
 
     def checked_hello(node, msg, sender):
         process_hello(node, msg, sender)
         counts["hello"] += 1
-        two_map = {n: set(members(named)) for n, (named, _, _) in node.links.items()}
-        assert node.mpr_set == reference_select_mprs(set(node.links), two_map)
-
-    def checked_routes(node):
-        routes = compute_routes(node)
-        counts["routes"] += 1
-        expect = reference_shortest_routes(node.node.id, list(node.links),
+        expected_mprs[node.node.id] = reference_mprs(node)
+        routes = reference_shortest_routes(node.node.id, list(node.links),
                                            table_edges(node))
-        assert list(routes.items()) == list(expect.items())
-        return routes
+        assert node.reachable_count() == len(routes) + 1
+
+    def checked_next_hop(node, dest):
+        nh = next_hop(node, dest)
+        counts["lookups"] += 1
+        assert nh == reference_next_hop(node, dest)
+        return nh
+
+    def checked_mprs(node):
+        mprs = hello_mprs(node)
+        counts["built"] += 1
+        assert mprs == expected_mprs.get(node.node.id, set())
+        return mprs
 
     def counted_reset(node):
         counts["reset"] += 1
         reset(node)
+        expected_mprs[node.node.id] = set()
 
     monkeypatch.setattr(olsr.OlsrNode, "process_hello", checked_hello)
-    monkeypatch.setattr(olsr.OlsrNode, "compute_routes", checked_routes)
+    monkeypatch.setattr(olsr.OlsrNode, "next_hop", checked_next_hop)
+    monkeypatch.setattr(olsr.OlsrNode, "hello_mprs", checked_mprs)
     monkeypatch.setattr(olsr.OlsrNode, "reset", counted_reset)
     World(cfg.validate()).run()
     return counts
@@ -431,13 +469,13 @@ def test_caches_match_fresh_computation_mobile(monkeypatch):
     cfg = ScenarioConfig(protocol="olsr", n=20, seed=2, duration=120.0, warmup=20.0,
                          v_min=2.0, v_max=8.0)
     counts = check_caches(monkeypatch, cfg)
-    assert counts["hello"] > 1000 and counts["routes"] > 1000
+    assert counts["hello"] > 1000 and counts["lookups"] > 1000 and counts["built"] > 1000
 
 
 def test_caches_match_fresh_computation_across_phase_resets(monkeypatch):
     cfg = ScenarioConfig(protocol="cml", n=20, seed=1, duration=120.0, warmup=20.0)
     counts = check_caches(monkeypatch, cfg)
-    assert counts["reset"] > 0 and counts["hello"] > 1000 and counts["routes"] > 100
+    assert counts["reset"] > 0 and counts["hello"] > 1000 and counts["lookups"] > 100
 
 
 # -- incremental masks (property) -------------------------------------------------
@@ -446,12 +484,14 @@ PEER = st.integers(1, 6)
 NAMES = st.frozensets(st.integers(0, 6), max_size=3)
 # route lookups come twice as often as the other steps: an expiry is only
 # purged, and a stale route only seen, at a lookup or a receipt
+LOOKUP = st.tuples(st.just("lookup"), st.integers(0, 7))
 STEP = st.one_of(
     st.tuples(st.just("hello"), PEER, NAMES, st.booleans()),
     st.tuples(st.just("tc"), PEER, NAMES, PEER),
     st.tuples(st.just("advance"), st.floats(0.0, 16.0)),
-    st.just(("routes",)),
-    st.just(("routes",)),
+    LOOKUP,
+    LOOKUP,
+    st.just(("mprs",)),
     st.just(("reset",)),
 )
 
@@ -467,20 +507,24 @@ def rebuilt_masks(node):
 @settings(max_examples=300, deadline=None)
 @given(steps=st.lists(STEP, min_size=20, max_size=60))
 def test_incremental_masks_match_rebuild(steps):
-    """After every HELLO, TC, clock advance, route lookup or reset, _out and
-    _adj equal masks rebuilt from links and topology, and a clean _dirty
-    means the adjacency and one-hop keys are those the routes came from."""
+    """After every HELLO, TC, clock advance, route lookup, HELLO build or
+    reset, _out and _adj equal masks rebuilt from links and topology, and
+    every cached next hop is the reference's on the current tables. A lookup
+    answers as the reference search does, reachable_count counts its table
+    plus self, and a HELLO carries the reference cover of the neighbor
+    table as the last receipt left it."""
     world = make_world([(0.0, 0.0), (5000.0, 5000.0)], width=6000.0, height=6000.0)
     world.relay_after_jitter = lambda *args: None
     node = olsr.OlsrNode(world, world.nodes[0])
     seq = 0
-    last = None
+    expected_mprs = set()
     for step in steps:
         if step[0] == "hello":
             _, sender, names, selected = step
             node.process_hello(pk.HelloMsg(
                 origin=sender, neighbor_list=tuple(sorted(names - {sender})),
                 mpr_flags=frozenset({0} if selected else ())), sender)
+            expected_mprs = reference_mprs(node)
         elif step[0] == "tc":
             _, origin, names, prev_hop = step
             seq += 1
@@ -489,17 +533,17 @@ def test_incremental_masks_match_rebuild(steps):
             node.process_tc(pk.Frame(kind=pk.TC, msg=msg, sender=prev_hop), prev_hop)
         elif step[0] == "advance":
             world.kernel.run_until(world.kernel.now + step[1])
-        elif step[0] == "routes":
-            before = node._routes
-            routes = node.compute_routes()
-            assert list(routes.items()) == list(reference_shortest_routes(
-                0, list(node.links), table_edges(node)).items())
-            if routes is not before:
-                last = (rebuilt_masks(node)[1], set(node.links))
+        elif step[0] == "lookup":
+            assert node.next_hop(step[1]) == reference_next_hop(node, step[1])
+            assert node.reachable_count() == len(reference_shortest_routes(
+                0, list(node.links), table_edges(node))) + 1
+        elif step[0] == "mprs":
+            assert node.hello_mprs() == expected_mprs
         else:
             node.reset()
+            expected_mprs = set()
         out, adj = rebuilt_masks(node)
         assert {a: m for a, m in node._out.items() if m} == out
         assert {a: m for a, m in node._adj.items() if m} == adj
-        if not node._dirty:
-            assert (adj, set(node.links)) == last
+        for dest, nh in node._next_hops.items():
+            assert nh == reference_next_hop(node, dest)
