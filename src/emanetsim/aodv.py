@@ -2,8 +2,8 @@
 RREP from the destination only, expiring routes, and the hop-count-based
 network-size estimate the adaptive layer consumes.
 
-No RERR or local repair: broken next hops simply age out and losses surface
-in the metrics.
+No RERR or local repair: a route whose next hop the MAC gave up on expires
+at once, other broken next hops age out, and losses surface in the metrics.
 """
 
 from . import packets as pk
@@ -250,9 +250,11 @@ class AodvNode:
 
     # -- data plane ----------------------------------------------------------------
 
-    def on_link_failure(self, next_hop):
-        """Link-layer feedback: drop routes through a next hop that stopped
-        acknowledging, so the next packet triggers a fresh discovery."""
+    def on_link_failure(self, frame):
+        """Link-layer feedback: frame reached no one, so drop the routes
+        through its receiver and let the next packet trigger a fresh
+        discovery."""
+        next_hop = frame.receiver
         now = self.world.kernel.now
         for dest, route in self.routes.items():
             if route.next_hop == next_hop and route.expiry > now:

@@ -31,6 +31,22 @@ def confirmed_shift(record):
     return record.frm in STABLE and record.to in STABLE and record.frm != record.to
 
 
+class _ExpiringTable(dict):
+    """key -> (value, expiry time). Readers take an entry whose expiry has
+    passed as absent, and the table is rebuilt from its live entries by the
+    rule of Discovery.seen (aodv.next_purge)."""
+
+    cap = PURGE_SLACK
+
+    def put(self, key, value, expiry, now):
+        self[key] = (value, expiry)
+        if len(self) > self.cap:
+            live = [(k, e) for k, e in self.items() if e[1] > now]
+            self.clear()
+            self.update(live)
+            self.cap = next_purge(self)
+
+
 def derive_nht(nst_effective, k):
     """Hop threshold matching a node-count threshold under N ~ k * h^2."""
     if nst_effective < 1:
@@ -56,14 +72,14 @@ class CmlNode:
         self.cp_seq = 0
         self._cp_seen = {}
         # (origin, probe_id) -> (highest ttl processed, expiry time)
-        self._hcreq_seen = {}
-        self._hcreq_cap = PURGE_SLACK
+        self._hcreq_seen = _ExpiringTable()
         self._probe_counter = 0
-        # echo probe id -> (parent origin, parent probe id)
-        self._echoes = {}
-        # (origin, probe_id) -> replies already forwarded on; a small cap keeps
-        # redundancy against reply loss without relaying every duplicate
-        self._hcrep_forwarded = {}
+        # echo probe id -> ((parent origin, parent probe id), expiry time)
+        self._echoes = _ExpiringTable()
+        # (origin, probe_id) -> (replies already forwarded on, expiry time); a
+        # small cap keeps redundancy against reply loss without relaying
+        # every duplicate
+        self._hcrep_forwarded = _ExpiringTable()
         # hearing someone else's probe defers own o-phase entry: a concurrent
         # prober will flood a change-phase packet if the network is small
         self._foreign_probe_until = -1.0
@@ -234,9 +250,9 @@ class CmlNode:
         engine = self.olsr if self.stable_phase == P_PHASE else self.aodv
         engine.send_data(msg)
 
-    def on_link_failure(self, next_hop):
+    def on_link_failure(self, frame):
         if self.stable_phase == R_PHASE:
-            self.aodv.on_link_failure(next_hop)
+            self.aodv.on_link_failure(frame)
 
     # -- CML control packets ----------------------------------------------------------
 
@@ -260,10 +276,7 @@ class CmlNode:
         self._shift(target, trigger, broadcast=False)
 
     def _mark_hcreq(self, key, ttl, now):
-        self._hcreq_seen[key] = (ttl, now + self.cfg.seen_lifetime)
-        if len(self._hcreq_seen) > self._hcreq_cap:
-            self._hcreq_seen = {k: e for k, e in self._hcreq_seen.items() if e[1] > now}
-            self._hcreq_cap = next_purge(self._hcreq_seen)
+        self._hcreq_seen.put(key, ttl, now + self.cfg.seen_lifetime, now)
 
     def process_hcreq(self, frame, prev_hop):
         msg = frame.msg
@@ -299,7 +312,7 @@ class CmlNode:
         if first and not msg.is_echo:
             self._probe_counter += 1
             pid = self._probe_counter
-            self._echoes[pid] = (msg.origin, msg.probe_id)
+            self._echoes.put(pid, key, now + self.cfg.seen_lifetime, now)
             echo = pk.HcReqMsg(origin=self.node.id, probe_id=pid,
                                ttl=self._effective_nht(), is_echo=True,
                                echo_parent=key)
@@ -316,19 +329,22 @@ class CmlNode:
 
     def process_hcrep(self, frame):
         msg = frame.msg
+        now = self.world.kernel.now
         self._foreign_probe_until = max(self._foreign_probe_until,
-                                        self.world.kernel.now + self.cfg.t_osc)
+                                        now + self.cfg.t_osc)
         if msg.origin != self.node.id:
             fkey = (msg.origin, msg.probe_id)
-            forwarded = self._hcrep_forwarded.get(fkey, 0)
+            entry = self._hcrep_forwarded.get(fkey)
+            forwarded = entry[0] if entry is not None and entry[1] > now else 0
             if forwarded >= 3:
                 return
-            self._hcrep_forwarded[fkey] = forwarded + 1
+            self._hcrep_forwarded.put(fkey, forwarded + 1,
+                                      now + self.cfg.seen_lifetime, now)
             self._send_hcrep(msg)
             return
         echo = self._echoes.pop(msg.probe_id, None)
-        if echo is not None:
-            parent_origin, parent_probe = echo
+        if echo is not None and echo[1] > now:
+            parent_origin, parent_probe = echo[0]
             fwd = pk.HcRepMsg(responder=msg.responder, origin=parent_origin,
                               probe_id=parent_probe)
             self._send_hcrep(fwd)

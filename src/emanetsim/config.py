@@ -109,7 +109,8 @@ class ScenarioConfig:
 
     def validate(self):
         """Check every key against its _KEYS bound (every float must be
-        finite), then the rules that read two keys."""
+        finite), then the rules that read two keys or that one comparison
+        cannot state."""
         def need(cond, key, constraint):
             if not cond:
                 raise ConfigError(f"{key}: {constraint}")
@@ -125,6 +126,9 @@ class ScenarioConfig:
                 op, limit = bound.split()
                 need(_COMPARE[op](value, float(limit)), name, f"must be {bound}")
         need(self.duration > self.warmup, "duration", "must exceed warmup")
+        need(self.traffic_rate <= 1000, "rate", "must be <= 1000")
+        need(self.rotation_interval == 0 or self.rotation_interval >= 0.001,
+             "rotation", "must be 0 or >= 0.001")
         need(self.v_min <= self.v_max, "v_min", "must not exceed v_max")
         need(self.x < self.nst, "x", "must be < nst")
         need(self.adversary.behavior in (ATTACK_NONE, ATTACK_OSCILLATE)
@@ -178,7 +182,9 @@ _COMPARE = {">": operator.gt, ">=": operator.ge}
 
 # Every INI key once, in manifest order: (section, key, attribute, parser,
 # bound). A bound is a tuple of allowed values, a comparison such as ">= 0",
-# or None when only a rule in validate() that reads two keys applies.
+# or None when only a rule in validate() that reads two keys applies. No
+# periodic source may fire more than 1,000 times per simulated second, so
+# every period is at least 0.001 s (traffic rate and rotation in validate()).
 _KEYS = (
     ("scenario", "protocol", "protocol", str, PROTOCOLS),
     ("scenario", "security", "security_mode", str, SECURITY_MODES),
@@ -204,13 +210,13 @@ _KEYS = (
     ("mobility", "v_min", "v_min", float, ">= 0"),
     ("mobility", "v_max", "v_max", float, ">= 0"),
     ("mobility", "pause_max", "pause_max", float, ">= 0"),
-    ("mobility", "tick", "mobility_tick", float, "> 0"),
+    ("mobility", "tick", "mobility_tick", float, ">= 0.001"),
     ("traffic", "rate", "traffic_rate", float, ">= 0"),
     ("traffic", "payload", "traffic_payload", int, "> 0"),
     ("traffic", "rotation", "rotation_interval", float, ">= 0"),  # 0 never rotates
     ("traffic", "start", "traffic_start", float, ">= 0"),
-    ("olsr", "hello_interval", "hello_interval", float, "> 0"),
-    ("olsr", "tc_interval", "tc_interval", float, "> 0"),
+    ("olsr", "hello_interval", "hello_interval", float, ">= 0.001"),
+    ("olsr", "tc_interval", "tc_interval", float, ">= 0.001"),
     ("aodv", "node_traversal_time", "node_traversal_time", float, ">= 0"),
     ("aodv", "net_diameter", "net_diameter", int, ">= 0"),
     ("aodv", "route_lifetime", "route_lifetime", float, "> 0"),
@@ -227,7 +233,7 @@ _KEYS = (
     ("security", "c_p", "c_p", float, "> 0"),
     ("adversary", "behavior", "adversary.behavior", str, ATTACKS),
     ("adversary", "nodes", "adversary.nodes", _parse_ids, None),
-    ("adversary", "period", "adversary.period", float, "> 0"),
+    ("adversary", "period", "adversary.period", float, ">= 0.001"),
     ("adversary", "target_phase", "adversary.target_phase", str,
      ("p-phase", "r-phase")),
     ("output", "trace", "trace", _parse_bool, None),

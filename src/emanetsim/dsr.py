@@ -1,6 +1,8 @@
 """Minimal source-routing engine: flooding discovery that accumulates the
 path, a small per-destination route cache, source-routed data forwarding,
-and route-error notifications that purge broken links from caches.
+and route-error notifications that purge broken links from caches. A node
+learns of a broken link when the MAC gives up on a unicast to the next hop
+(RFC 4728 8.3), and then sends the route error back to the data's source.
 
 No promiscuous listening or packet salvaging; every source-route header byte
 on a data packet is charged to routing load.
@@ -133,9 +135,21 @@ class DsrNode:
         msg.cursor -= 1
         self.world.unicast(self.node, path[msg.cursor], pk.DSR_RERR, msg)
 
-    def on_link_failure(self, next_hop):
-        """Link-layer feedback: a hop stopped acknowledging, purge its paths."""
-        self.purge_link(self.node.id, next_hop)
+    def on_link_failure(self, frame):
+        """Link-layer feedback: frame reached no one. Purge the paths over
+        the link, and for source-routed data send a route error back along
+        the route to its source."""
+        nxt = frame.receiver
+        self.purge_link(self.node.id, nxt)
+        if frame.kind != pk.DATA:
+            return
+        route = frame.msg.source_route
+        cursor = frame.msg.cursor - 1  # this node's place on the route
+        if cursor > 0:
+            err = pk.DsrRerrMsg(origin=self.node.id, broken_from=self.node.id,
+                                broken_to=nxt, path_back=route[:cursor + 1],
+                                cursor=cursor - 1)
+            self.world.unicast(self.node, route[cursor - 1], pk.DSR_RERR, err)
 
     # -- data plane ---------------------------------------------------------------------
 
@@ -144,27 +158,8 @@ class DsrNode:
         if msg.dst == self.node.id:
             self.world.data_delivered(msg)
             return
-        route = msg.source_route
-        if route is None or msg.cursor >= len(route) or route[msg.cursor] != self.node.id:
-            self.world.data_dropped(msg, "bad-source-route")
-            return
         self._forward_data(msg)
 
     def _forward_data(self, msg):
-        route = msg.source_route
-        cursor = msg.cursor
-        if cursor + 1 >= len(route):
-            self.world.data_dropped(msg, "bad-source-route")
-            return
-        nxt = route[cursor + 1]
-        if nxt not in self.world.neighbors(self.node.id):
-            self.world.data_dropped(msg, "broken-source-route")
-            self.purge_link(self.node.id, nxt)
-            if cursor > 0:
-                err = pk.DsrRerrMsg(origin=self.node.id, broken_from=self.node.id,
-                                    broken_to=nxt, path_back=route[:cursor + 1],
-                                    cursor=cursor - 1)
-                self.world.unicast(self.node, route[cursor - 1], pk.DSR_RERR, err)
-            return
-        msg.cursor = cursor + 1
-        self.world.unicast(self.node, nxt, pk.DATA, msg)
+        msg.cursor += 1
+        self.world.unicast(self.node, msg.source_route[msg.cursor], pk.DATA, msg)

@@ -18,6 +18,11 @@ its snapshot receivers after the serialization delay, with no contention and
 no loss. Oracle tests use this to check routing logic under uniform per-hop
 delay.
 
+A unicast that reaches no one, after its last retry on the contended channel
+and at once on the ideal channel, is reported to the sender's protocol
+through on_link_failure(frame). Protocols learn of broken links only this
+way; none reads the simulator's neighbour map.
+
 On either channel a transmission has one rx event, which hands the frame to
 each of its receivers in order. The contended channel schedules it from the
 tx-end event that settles collisions and retries at the end of the airtime;
@@ -197,7 +202,7 @@ class World:
         airtime. On the ideal channel (no item) the rx event is scheduled
         here, for the receivers in range when the frame was sent; a
         transmission that reaches no one schedules none, and a unicast to a
-        non-neighbour is dropped."""
+        non-neighbour fails at once."""
         cfg = self.cfg
         kernel = self.kernel
         now = kernel.now
@@ -229,8 +234,8 @@ class World:
             if deliver_to:
                 self._schedule_rx(now + (snd_delay + airtime), deliver_to, frame,
                                   rcv_delay)
-            elif receiver is not None and frame.kind == pk.DATA:
-                self.data_dropped(msg, "no-link")
+            elif receiver is not None:
+                self._link_failed(node, frame, "no-link")
             return
 
         end = now + (snd_delay + cfg.difs + airtime)
@@ -273,12 +278,17 @@ class World:
         if ok_receivers:
             self._schedule_rx(now, ok_receivers, frame, rcv_delay)
         elif unicast_failed:
-            if frame.kind == pk.DATA:
-                self.data_dropped(frame.msg, "mac-retry-limit")
-            if hasattr(node.driver, "on_link_failure"):
-                node.driver.on_link_failure(frame.receiver)
+            self._link_failed(node, frame, "mac-retry-limit")
         if queue:
             self._schedule_pump(node, now)
+
+    def _link_failed(self, node, frame, reason):
+        """A unicast reached no one: its DATA is dropped for reason, and the
+        sender's protocol hears of the broken link from the frame. This is
+        the only way any protocol learns of one."""
+        if frame.kind == pk.DATA:
+            self.data_dropped(frame.msg, reason)
+        node.driver.on_link_failure(frame)
 
     def _schedule_rx(self, air_end, v_ids, frame, rcv_delay):
         """One rx event for all of v_ids, after processing and crypto. Its

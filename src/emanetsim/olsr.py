@@ -353,6 +353,9 @@ class OlsrNode:
         else:
             self._forward(msg)
 
+    def on_link_failure(self, frame):
+        """Link-layer feedback is ignored: links come and go with HELLOs."""
+
     def _forward(self, msg):
         nh = self.next_hop(msg.dst)
         if nh is None:

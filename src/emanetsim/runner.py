@@ -3,7 +3,6 @@ artifacts (summary rows, transition logs, manifests, traces), aggregates
 seed means, and emits cumulative series plus plot scripts."""
 
 import os
-from multiprocessing import get_context
 
 from . import metrics as mt
 from . import plotgen
@@ -63,6 +62,8 @@ def run_cells(cells, parallel=1, fn=None):
     """
     fn = fn or _run_cell
     if parallel > 1 and len(cells) > 1:
+        # Imported here: most runs start no pool and need not load it.
+        from multiprocessing import get_context
         # A fresh worker per cell: a reused worker's resident peak would
         # build up over whichever cells it happened to draw.
         with get_context("fork").Pool(parallel, maxtasksperchild=1) as pool:

@@ -220,7 +220,7 @@ def test_link_failure_feedback_invalidates_routes():
     world.kernel.run_until(3.0)
     drv = world.nodes[0].driver
     assert drv.valid_route(2) is not None
-    drv.on_link_failure(1)
+    drv.on_link_failure(pk.Frame(kind=pk.DATA, msg=None, sender=0, receiver=1))
     assert drv.valid_route(2) is None
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emanetsim import packets as pk
-from emanetsim.config import ScenarioConfig
+from emanetsim.config import PROTOCOLS, ScenarioConfig
 from emanetsim.network import World
 from emanetsim.security import AdversaryRole
 
@@ -30,6 +30,9 @@ class Recorder:
 
     def on_frame(self, frame, sender):
         self.log.append((self.node_id, frame, sender))
+
+    def on_link_failure(self, frame):
+        pass
 
 
 def star_world(ideal_channel, security_mode="none"):
@@ -148,6 +151,32 @@ def test_handlers_leave_received_frames_unchanged(protocol, behavior, monkeypatc
         assert seen[(True, True)] > 0
     if behavior == "tamper-hcreq":
         assert seen[(False, False)] > 0
+
+
+@pytest.mark.parametrize("ideal", [True, False])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_protocols_run_without_the_neighbour_map(protocol, ideal, monkeypatch):
+    """No protocol reads World.neighbors, the simulator's true topology: each
+    learns of a broken link only from a unicast that reached no one, after
+    its last retry on the contended channel and at once on the ideal one. A
+    mobile run, once set up, runs to its end with World.neighbors raising."""
+    cfg = ScenarioConfig(protocol=protocol, n=20, duration=60.0, warmup=10.0,
+                         seed=1, ideal_channel=ideal).validate()
+    world = World(cfg)
+    world.setup()
+    link_failed, failures = World._link_failed, Counter()
+
+    def counted(world, node, frame, reason):
+        failures[reason] += 1
+        link_failed(world, node, frame, reason)
+
+    def oracle(world, node_id):
+        raise AssertionError("a protocol read the neighbour map")
+
+    monkeypatch.setattr(World, "neighbors", oracle)
+    monkeypatch.setattr(World, "_link_failed", counted)
+    world.run()
+    assert set(failures) == {"no-link" if ideal else "mac-retry-limit"}
 
 
 # ---- the reception rule against a reference ----------------------------------

@@ -295,11 +295,11 @@ def test_late_reply_has_no_effect():
     assert d.phase == P_PHASE
 
 
-def test_duplicate_tables_stay_bounded_over_long_run(monkeypatch):
-    # After every insertion into an expiring duplicate table (RREQ ids and
-    # HCREQ probes), the table holds at most twice the most entries it ever
-    # held live, plus the purge slack. A 5 s seen_lifetime makes the 300 s
-    # run sixty lifetimes long: unpurged, expired entries pile up past that.
+def watch_purges(monkeypatch, watched):
+    """Wrap each (cls, method, attr, expiry) of watched so that after every
+    call the table self.<attr> holds at most twice the most entries it ever
+    held live, plus the purge slack; expiry(entry) is an entry's expiry time.
+    Returns the set of attrs seen to shrink within a call."""
     peak, purged = {}, set()
 
     def watch(cls, method, attr, expiry):
@@ -318,12 +318,36 @@ def test_duplicate_tables_stay_bounded_over_long_run(monkeypatch):
             return result
         monkeypatch.setattr(cls, method, wrapped)
 
-    watch(Discovery, "first_copy", "seen", lambda until: until)
-    watch(CmlNode, "_mark_hcreq", "_hcreq_seen", lambda entry: entry[1])
+    for args in watched:
+        watch(*args)
+    return purged
+
+
+def test_duplicate_tables_stay_bounded_over_long_run(monkeypatch):
+    # The expiring duplicate tables (RREQ ids and HCREQ probes) stay bounded.
+    # A 5 s seen_lifetime makes the 300 s run sixty lifetimes long: unpurged,
+    # expired entries pile up past the bound.
+    purged = watch_purges(monkeypatch, [
+        (Discovery, "first_copy", "seen", lambda until: until),
+        (CmlNode, "_mark_hcreq", "_hcreq_seen", lambda entry: entry[1])])
     cfg = ScenarioConfig(protocol="cml", n=20, seed=1, duration=300.0,
                          warmup=0.0, seen_lifetime=5.0).validate()
     World(cfg).run()
     assert purged == {"seen", "_hcreq_seen"}
+
+
+def test_echo_and_reply_tables_stay_bounded_over_long_run(monkeypatch):
+    # The echo table (filled in process_hcreq, emptied by replies) and the
+    # forwarded-reply counts (filled in process_hcrep) stay bounded too. A
+    # 1 s oscillation timer makes nodes probe often enough for both tables
+    # to outgrow the purge slack within the run.
+    purged = watch_purges(monkeypatch, [
+        (CmlNode, "process_hcreq", "_echoes", lambda entry: entry[1]),
+        (CmlNode, "process_hcrep", "_hcrep_forwarded", lambda entry: entry[1])])
+    cfg = ScenarioConfig(protocol="cml", n=20, seed=1, duration=300.0,
+                         warmup=0.0, seen_lifetime=5.0, t_osc=1.0).validate()
+    World(cfg).run()
+    assert purged == {"_echoes", "_hcrep_forwarded"}
 
 
 # -- change-phase flooding --------------------------------------------------------------

@@ -93,6 +93,13 @@ def test_obstacle_parsing():
     ("[scenario]\nduration = inf\n", "duration"),
     ("[radio]\nbandwidth = inf\n", "bandwidth"),
     ("[adversary]\nperiod = inf\n", "period"),
+    ("[mobility]\ntick = 1e-300\n", "tick"),    # periods of at least 1 ms
+    ("[olsr]\nhello_interval = 0.0009\n", "hello_interval"),
+    ("[olsr]\ntc_interval = 1e-300\n", "tc_interval"),
+    ("[adversary]\nperiod = 0.0009\n", "period"),
+    ("[traffic]\nrate = 1e300\n", "rate"),
+    ("[traffic]\nrate = 1000.5\n", "rate"),
+    ("[traffic]\nrotation = 0.0009\n", "rotation"),
     ("[traffic]\npattern = fixed-pairs\n", "pattern"),   # removed key
     ("nodes = 5\n", "section headers"),
 ])
@@ -100,6 +107,14 @@ def test_validation_errors_name_the_key(text, needle):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert needle in str(err.value)
+
+
+def test_smallest_periods_accepted():
+    cfg = parse_config("[mobility]\ntick = 0.001\n[traffic]\nrate = 1000\n"
+                       "rotation = 0.001\n[olsr]\nhello_interval = 0.001\n"
+                       "tc_interval = 0.001\n[adversary]\nperiod = 0.001\n")
+    assert (cfg.mobility_tick, cfg.traffic_rate, cfg.rotation_interval) == \
+        (0.001, 1000.0, 0.001)
 
 
 def test_unknown_key_rejected():

@@ -121,6 +121,33 @@ def test_broken_link_purges_and_notifies_source():
     assert world.metrics.data_dropped >= 1
 
 
+def test_mac_failure_sends_route_error_to_source(monkeypatch):
+    # Node 0 holds the path 0-1-2-3 when node 3 moves out of range. Node 2
+    # learns of the break only when the MAC gives up, drops the packet and
+    # sends a route error back along the route to node 0.
+    world = dsr_world(chain_positions(4))
+    src = world.nodes[0].driver
+    src.add_path((0, 1, 2, 3))
+    world.nodes[3].kin.x = 90000.0
+    world.refresh_links()
+    failures, errors = [], []
+    link_failed, process_rerr = world._link_failed, src.process_rerr
+    monkeypatch.setattr(world, "_link_failed", lambda node, frame, reason: (
+        failures.append((node.id, frame.kind, reason)),
+        link_failed(node, frame, reason)))
+    monkeypatch.setattr(src, "process_rerr",
+                        lambda msg: (errors.append(msg), process_rerr(msg)))
+    send(world, 0, 3)
+    world.kernel.run_until(3.0)
+    assert failures == [(2, pk.DATA, "mac-retry-limit")]
+    assert world.metrics.drops_by_reason == {"mac-retry-limit": 1}
+    assert [(e.origin, e.broken_from, e.broken_to) for e in errors] == [(2, 2, 3)]
+    links = {link for paths in src.cache.values() for path, _ in paths
+             for link in zip(path, path[1:])}
+    assert (2, 3) not in links and (3, 2) not in links
+    assert src.cached_path(3) is None
+
+
 def test_purge_link_removes_both_directions():
     world = dsr_world(chain_positions(2))
     drv = world.nodes[0].driver

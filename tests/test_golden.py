@@ -50,7 +50,7 @@ GOLDEN = {
     'cml-n20-ideal-hybrid': ('5a28d309a673f3694f27c6cc8afe191d1d05951181aaba461541dc25256f075c', 'eb8c55b4fb97f4d489d3cebb96b38e7ab102213b2c18ea68034d88080111af92', '8a24c6288945d480ca61edf12f9ef9dfa9ed7bca34a758a69fde10684d992cda'),
     'cml-n20-oscillate': ('0253d02f702faba32c484b65947931e9536718d0b2584ebb0b4afd5a853a66e6', 'b98458c117b4ac54b30632d0a96ac76dd62bdc617b055f3b1470813d34aa32c5'),
     'cml-n5': ('49c7f8a2ddbbca6aebd99dfd75d7a69b3c2361aa2a53e082aea3709a1d7221c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'dsr-n20': ('a5d79a8f41e6119b76cfa65c8166355e020a29ae46a47c57be14d6c823b87923', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '0d7a3a17488f1ec09773af1482a7552fd15564e12c596d23bd0732b21177f925'),
+    'dsr-n20': ('1c721977eebced18c5b6b3aae534a5c288bf30d5b67b685e7f0a633ad2a3ab4e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '7be868ab24dfeea3e15fb101584c81312fdf03a87ad29b48b336ff573d285b0a'),
     'dsr-n5': ('0a58d34c7a551d4ed9ef02a1235542e13502e0be6562f943dce94bb59cb7b690', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'olsr-n20': ('d6792e4e6ee0e431f186560fb966c7e6081965d4ed24d84288b9c651aaac642f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'b6ae6bb3d516290b0d25b97d501919b9c36a955690f07180985db557f4f6ba91'),
     'olsr-n5': ('3720a73c183183b9db1733ef7f22c2f00c3e17c9b1e096f6a4e7db92fc5b2ce3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -63,12 +63,13 @@ GOLDEN = {
 # trace digests they had then; the ideal cell's is its trace of then with the
 # tx-end lines removed, since the ideal channel no longer has that event.
 # Equal digests show that one rx event per transmission only regrouped the
-# trace.
+# trace. dsr-n20's entry was re-taken when DSR stopped reading the neighbour
+# map and began sending route errors when the MAC gives up.
 EXPANDED_TRACE = {
     'aodv-n20': '6656eda752a732441b894e73a9f6bcfd3cf6ba3aa07b9df284935a3eb8749432',
     'cml-n20-hybrid': 'c84a418c4f5ae46f8c7a0ec47a777b11a01e5934e4f2dcca5effa06265face46',
     'cml-n20-ideal-hybrid': '4e9b7a58990e96fa341c85279d175ad77b3b40298ea01ab46dcafeb4591d5b7e',
-    'dsr-n20': '0715c76816d9d4b5fa26efd6e207476a04364052f96a4e25fce715aa6a5ad9d5',
+    'dsr-n20': 'f6523bf642032c1aa76025e65f690c117310ba6f9467d5a408bd8b2d58dfedf2',
     'olsr-n20': '7ff319bddf0312b5beec03d5b864777fb2e667262eeb226883c3464bdc4525a4',
     'olsr-n50': '07aca7d9cc2b8222850ab48599428c1d58940ae2a4dd6f654b22cc268b472677',
 }

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import emanetsim
 from emanetsim.config import ScenarioConfig, SweepSpec
 from emanetsim.metrics import CSV_HEADER
 from emanetsim.network import World
@@ -164,3 +167,17 @@ def test_warmup_exclusion_in_summown(tmp_path):
     summary, world = run_scenario(cfg)
     for rec in world.metrics.records:
         assert rec.send_time >= 25.0
+
+
+def test_package_import_loads_no_pool_and_no_driver():
+    # multiprocessing is imported only when run_cells starts a pool, and a
+    # driver module only when a world of its protocol is set up.
+    src = os.path.dirname(os.path.dirname(emanetsim.__file__))
+    code = "import sys, emanetsim; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "emanetsim.runner" in out
+    loaded = {m for m in out if m.split(".")[0] == "multiprocessing"}
+    loaded |= {f"emanetsim.{d}" for d in ("aodv", "cml", "dsr", "olsr")} & set(out)
+    assert loaded == set()
