@@ -92,8 +92,9 @@ class Discovery:
             self.world.data_dropped(msg, "buffer-full")
 
     def first_copy(self, origin, rreq_id):
-        """True unless request (origin, rreq_id) was seen within
-        seen_lifetime; either way it is marked seen from now."""
+        """True unless request (origin, rreq_id) was first seen less than
+        seen_lifetime ago. Only a first copy marks it seen, so a duplicate
+        never extends that window."""
         now = self.world.kernel.now
         key = (origin, rreq_id)
         seen_until = self.seen.get(key)
@@ -186,7 +187,7 @@ class AodvNode:
     def send_data(self, msg):
         route = self.valid_route(msg.dst)
         if route is not None:
-            self._forward(msg, route)
+            self._send_via(msg, route)
             return
         if msg.dst not in self.discovery.pending:
             self.own_seq += 1  # once per discovery, not per retry
@@ -204,8 +205,6 @@ class AodvNode:
             self.process_rreq(frame, prev_hop)
         elif frame.kind == pk.RREP:
             self.process_rrep(frame, prev_hop)
-        elif frame.kind == pk.DATA:
-            self.handle_data(frame.msg)
 
     def process_rreq(self, frame, prev_hop):
         msg = frame.msg
@@ -236,7 +235,7 @@ class AodvNode:
                 if route is None or buffered.send_time < horizon:
                     self.world.data_dropped(buffered, "no-route")
                 else:
-                    self._forward(buffered, route)
+                    self._send_via(buffered, route)
             if self.on_rrep_at_source is not None:
                 self.on_rrep_at_source(total_hops)
             return
@@ -260,17 +259,13 @@ class AodvNode:
             if route.next_hop == next_hop and route.expiry > now:
                 route.expiry = now
 
-    def handle_data(self, msg):
-        msg.hops += 1
-        if msg.dst == self.node.id:
-            self.world.data_delivered(msg)
-            return
+    def forward(self, msg):
         route = self.valid_route(msg.dst)
         if route is None:
             self.world.data_dropped(msg, "no-route")
             return
-        self._forward(msg, route)
+        self._send_via(msg, route)
 
-    def _forward(self, msg, route):
+    def _send_via(self, msg, route):
         route.expiry = self.world.kernel.now + self.cfg.route_lifetime
         self.world.unicast(self.node, route.next_hop, pk.DATA, msg)

@@ -242,13 +242,14 @@ class CmlNode:
         elif kind in (pk.RREQ, pk.RREP):
             if not self.olsr.enabled:
                 self.aodv.on_frame(frame, prev_hop)
-        elif kind == pk.DATA:
-            engine = self.olsr if self.stable_phase == P_PHASE else self.aodv
-            engine.handle_data(frame.msg)
 
     def send_data(self, msg):
         engine = self.olsr if self.stable_phase == P_PHASE else self.aodv
         engine.send_data(msg)
+
+    def forward(self, msg):
+        engine = self.olsr if self.stable_phase == P_PHASE else self.aodv
+        engine.forward(msg)
 
     def on_link_failure(self, frame):
         if self.stable_phase == R_PHASE:

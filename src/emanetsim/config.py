@@ -315,15 +315,16 @@ class SweepSpec:
 def parse_sizes(spec):
     """Parse "5:50:5" or "5,10,20" into a tuple of sizes."""
     spec = spec.strip()
-    if ":" in spec:
-        parts = [int(v) for v in spec.split(":")]
-        if len(parts) == 2:
-            lo, hi, step = parts[0], parts[1], 5
-        elif len(parts) == 3:
-            lo, hi, step = parts
-        else:
-            raise ConfigError("sizes: expected lo:hi[:step]")
-        if step <= 0 or hi < lo:
-            raise ConfigError("sizes: need lo <= hi and step > 0")
-        return tuple(range(lo, hi + 1, step))
-    return tuple(int(v) for v in spec.split(","))
+    sep = ":" if ":" in spec else ","
+    try:
+        parts = [int(v) for v in spec.split(sep)]
+    except ValueError:
+        raise ConfigError(f"sizes: expected integers, got {spec!r}") from None
+    if sep == ",":
+        return tuple(parts)
+    if len(parts) not in (2, 3):
+        raise ConfigError("sizes: expected lo:hi[:step]")
+    lo, hi, step = parts if len(parts) == 3 else parts + [5]
+    if step <= 0 or hi < lo:
+        raise ConfigError("sizes: need lo <= hi and step > 0")
+    return tuple(range(lo, hi + 1, step))

@@ -75,7 +75,7 @@ class DsrNode:
         if path is not None:
             msg.source_route = path
             msg.cursor = 0
-            self._forward_data(msg)
+            self.forward(msg)
             return
         self.discovery.buffer(msg)
 
@@ -93,8 +93,6 @@ class DsrNode:
             self.process_rrep(frame.msg)
         elif frame.kind == pk.DSR_RERR:
             self.process_rerr(frame.msg)
-        elif frame.kind == pk.DATA:
-            self.handle_data(frame.msg)
 
     def process_rreq(self, frame, prev_hop):
         msg = frame.msg
@@ -120,7 +118,7 @@ class DsrNode:
             for buffered in self.discovery.resolve(route[-1]):
                 buffered.source_route = route
                 buffered.cursor = 0
-                self._forward_data(buffered)
+                self.forward(buffered)
             return
         if msg.cursor <= 0 or route[msg.cursor] != self.node.id:
             return
@@ -153,13 +151,6 @@ class DsrNode:
 
     # -- data plane ---------------------------------------------------------------------
 
-    def handle_data(self, msg):
-        msg.hops += 1
-        if msg.dst == self.node.id:
-            self.world.data_delivered(msg)
-            return
-        self._forward_data(msg)
-
-    def _forward_data(self, msg):
+    def forward(self, msg):
         msg.cursor += 1
         self.world.unicast(self.node, msg.source_route[msg.cursor], pk.DATA, msg)

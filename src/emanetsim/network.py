@@ -27,6 +27,14 @@ On either channel a transmission has one rx event, which hands the frame to
 each of its receivers in order. The contended channel schedules it from the
 tx-end event that settles collisions and retries at the end of the airtime;
 the ideal channel has no tx-end and schedules it when the frame is sent.
+
+Protocol drivers
+----------------
+The world calls each node's driver through boot() at run start,
+on_frame(frame, prev_hop) for each control frame received, send_data(msg)
+for DATA the node originates, forward(msg) for DATA received for another
+node, and on_link_failure(frame) as above. DATA never reaches on_frame: the
+world delivers it, and the protocols only pick next hops.
 """
 
 from collections import deque, namedtuple
@@ -143,11 +151,9 @@ class World:
                                      sec_valid=sec_valid,
                                      adversary_origin=adversary_origin))
 
-    def unicast(self, node, receiver, kind, msg, sec_valid=True, adversary_origin=False):
+    def unicast(self, node, receiver, kind, msg):
         self._enqueue(node, pk.Frame(kind=kind, msg=msg, sender=node.id,
-                                     receiver=receiver,
-                                     sec_valid=sec_valid,
-                                     adversary_origin=adversary_origin))
+                                     receiver=receiver))
 
     def relay(self, node, frame):
         self._enqueue(node, frame)
@@ -303,11 +309,14 @@ class World:
                         kind="rx", node=frame.sender, detail=detail)
 
     def _receive(self, v_ids, frame, rcv_delay):
-        """Hand frame to each receiver still active, in order; DATA whose
-        receiver went inactive since the end of the airtime is dropped. The
-        authentication gate and the frame's kind and sender are read once
-        per frame, which holds because no handler changes the kind, sender,
-        sec_valid or adversary_origin of a frame it received."""
+        """Hand frame to each receiver still active, in order: a control
+        frame to its driver's on_frame, and DATA, once it has gained
+        rcv_delay and a hop, to data_delivered when addressed to the
+        receiver and else to its driver's forward. DATA whose receiver went
+        inactive since the end of the airtime is dropped. The authentication
+        gate and the frame's kind and sender are read once per frame, which
+        holds because no handler changes the kind, sender, sec_valid or
+        adversary_origin of a frame it received."""
         nodes = self.nodes
         if self._authenticates and not sec.accept_packet(frame, self.cfg.security_mode):
             self.metrics.rejected_packets += sum(nodes[v_id].active for v_id in v_ids)
@@ -316,12 +325,19 @@ class World:
         sender = frame.sender
         for v_id in v_ids:
             v = nodes[v_id]
-            if v.active:
+            if not v.active:
                 if data:
-                    frame.msg.crypto_delay += rcv_delay
+                    self.data_dropped(frame.msg, "receiver-inactive")
+            elif not data:
                 v.driver.on_frame(frame, sender)
-            elif data:
-                self.data_dropped(frame.msg, "receiver-inactive")
+            else:
+                msg = frame.msg
+                msg.crypto_delay += rcv_delay
+                msg.hops += 1
+                if msg.dst == v_id:
+                    self.data_delivered(msg)
+                else:
+                    v.driver.forward(msg)
 
     # ---- data bookkeeping -------------------------------------------------
 

@@ -228,8 +228,6 @@ class OlsrNode:
             self.process_hello(frame.msg, prev_hop)
         elif frame.kind == pk.TC:
             self.process_tc(frame, prev_hop)
-        elif frame.kind == pk.DATA:
-            self.handle_data(frame.msg)
 
     def process_hello(self, msg, sender):
         now = self.world.kernel.now
@@ -344,21 +342,14 @@ class OlsrNode:
     # -- data plane -------------------------------------------------------------
 
     def send_data(self, msg):
-        self._forward(msg)
-
-    def handle_data(self, msg):
-        msg.hops += 1
-        if msg.dst == self.node.id:
-            self.world.data_delivered(msg)
-        else:
-            self._forward(msg)
-
-    def on_link_failure(self, frame):
-        """Link-layer feedback is ignored: links come and go with HELLOs."""
-
-    def _forward(self, msg):
+        """Unicast msg to its next hop, be it sent from here or forwarded."""
         nh = self.next_hop(msg.dst)
         if nh is None:
             self.world.data_dropped(msg, "no-route")
             return
         self.world.unicast(self.node, nh, pk.DATA, msg)
+
+    forward = send_data
+
+    def on_link_failure(self, frame):
+        """Link-layer feedback is ignored: links come and go with HELLOs."""

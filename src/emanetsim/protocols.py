@@ -1,4 +1,6 @@
-"""Protocol driver registry used by the world at run start."""
+"""Protocol driver registry used by the world at run start. Every driver
+implements the interface that the network module's docstring states: boot,
+on_frame (control frames only), send_data, forward and on_link_failure."""
 
 from importlib import import_module
 

@@ -1,5 +1,6 @@
 import pytest
 
+from emanetsim.cml import R_PHASE
 from emanetsim.config import ScenarioConfig
 from emanetsim.network import World
 
@@ -22,6 +23,16 @@ def make_world(positions=None, n=None, protocol="olsr", **overrides):
             node.kin.wx, node.kin.wy = float(x), float(y)
         world.refresh_links()
     return world
+
+
+def force_r_phase(world):
+    """Put every CML node of a set-up world in r-phase, timers clear."""
+    for node in world.nodes:
+        d = node.driver
+        d.phase = R_PHASE
+        d.olsr.enabled = False
+        d.osc_until = -1.0
+        d._foreign_probe_until = -1.0
 
 
 def chain_positions(k, spacing=200.0):

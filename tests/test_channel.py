@@ -8,11 +8,12 @@ from itertools import count
 from types import SimpleNamespace
 
 import pytest
-from conftest import make_world
+from conftest import chain_positions, force_r_phase, make_world
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emanetsim import packets as pk
+from emanetsim.cml import P_PHASE, R_PHASE
 from emanetsim.config import PROTOCOLS, ScenarioConfig
 from emanetsim.network import World
 from emanetsim.security import AdversaryRole
@@ -104,6 +105,30 @@ def test_rejected_frame_counts_each_active_receiver(ideal):
     world.kernel.run_until(1.0)
     assert received == []
     assert world.metrics.rejected_packets == 3
+
+
+@pytest.mark.parametrize("protocol,phase", [
+    (p, phase) for p in PROTOCOLS
+    for phase in ((P_PHASE, R_PHASE) if p == "cml" else (None,))])
+def test_data_is_delivered_once_along_a_chain(protocol, phase):
+    """On a static 4-node chain, one DATA from node 0 to node 3 sent once
+    routes have settled is delivered once, after three hops, and nothing is
+    dropped: the world delivers it at node 3, and the drivers of nodes 1 and
+    2 forward it. CML runs in each stable phase."""
+    world = make_world(chain_positions(4), protocol=protocol, ideal_channel=True)
+    world.setup()
+    if phase == R_PHASE:
+        force_r_phase(world)
+    world.kernel.run_until(20.0)
+    msg = pk.DataMsg(flow_id=(0, 0), seq=0, src=0, dst=3, payload=64,
+                     send_time=world.kernel.now)
+    world.nodes[0].driver.send_data(msg)
+    world.kernel.run_until(21.0)
+    assert [(r.flow_id, r.hops) for r in world.metrics.records] == [((0, 0), 3)]
+    assert world.metrics.duplicate_deliveries == 0
+    assert world.metrics.data_dropped == 0
+    if phase is not None:
+        assert {n.driver.stable_phase for n in world.nodes} == {phase}
 
 
 def test_ideal_channel_run_has_no_tx_end():

@@ -30,6 +30,13 @@ def test_bad_config_reports_key(tmp_path, capsys):
     assert "nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb,sizes", [("sweep", "5,x"), ("calibrate-k", "5:a")])
+def test_bad_sizes_reports_key(tmp_path, capsys, verb, sizes):
+    rc = main([verb, "--sizes", sizes, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "configuration error: sizes:" in capsys.readouterr().err
+
+
 def test_sweep_verb(tmp_path, capsys):
     base = tmp_path / "base.ini"
     base.write_text("[scenario]\nduration = 30\nwarmup = 5\n")

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import chain_positions, make_world
+from conftest import chain_positions, force_r_phase, make_world
 from emanetsim import packets as pk
 from emanetsim.aodv import PURGE_SLACK, Discovery
 from emanetsim.cml import (O_TOWARD_P, O_TOWARD_R, P_PHASE, R_PHASE, CmlNode,
@@ -18,15 +18,6 @@ def cml_world(positions=None, **kw):
 
 def drv(world, i):
     return world.nodes[i].driver
-
-
-def force_r_phase(world):
-    for node in world.nodes:
-        d = node.driver
-        d.phase = R_PHASE
-        d.olsr.enabled = False
-        d.osc_until = -1.0
-        d._foreign_probe_until = -1.0
 
 
 # -- threshold derivation ------------------------------------------------------

@@ -159,6 +159,9 @@ def test_parse_sizes_forms():
         parse_sizes("10:5")
     with pytest.raises(ConfigError):
         parse_sizes("1:2:3:4")
+    for spec in ("5,x", "5:a"):
+        with pytest.raises(ConfigError, match="sizes"):
+            parse_sizes(spec)
 
 
 def test_sweep_enumeration_deterministic_order():
