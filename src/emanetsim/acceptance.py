@@ -18,7 +18,6 @@ criteria read is computed once per process and `parallel` value.
 
 import functools
 from collections import namedtuple
-from dataclasses import dataclass
 
 from . import packets as pk
 from . import security as sec
@@ -34,11 +33,8 @@ SEEDS = (1, 2, 3, 4, 5)
 RUN = dict(duration=300.0, warmup=60.0)
 
 
-@dataclass
-class CriterionResult:
-    name: str
-    passed: bool
-    detail: str
+class CriterionResult(namedtuple("CriterionResult", "name passed detail")):
+    __slots__ = ()
 
     def line(self):
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"

@@ -112,7 +112,7 @@ class Discovery:
         self.flood(dest, self.rreq_counter)
         req.timer = self.world.kernel.schedule_in(
             net_traversal_time(self.world.cfg), lambda: self._timeout(dest),
-            kind="timer", node=self.node.id, detail=self.detail)
+            "timer", self.node.id, self.detail)
 
     def _timeout(self, dest):
         req = self.pending[dest]

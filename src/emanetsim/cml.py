@@ -121,7 +121,7 @@ class CmlNode:
             self._tc_checks_left = 2
             self._o_deadline = self.world.kernel.schedule_in(
                 3.0 * self.cfg.tc_interval, self._o_r_timeout,
-                kind="timer", node=self.node.id, detail="o-deadline")
+                "timer", self.node.id, "o-deadline")
             self.world.log_transition(self.node.id, P_PHASE, O_TOWARD_R,
                                       f"count={count}")
 
@@ -167,7 +167,7 @@ class CmlNode:
         window = 4.0 * self.aodv.net_traversal_time()
         st["window"] = self.world.kernel.schedule_in(
             window, lambda: self._probe_window_closed(last),
-            kind="timer", node=self.node.id, detail="hcreq-window")
+            "timer", self.node.id, "hcreq-window")
 
     def _probe_window_closed(self, last):
         st = self._probe

@@ -10,7 +10,6 @@ import configparser
 import io
 import math
 import operator
-from dataclasses import dataclass, field, replace
 
 from .kernel import RandomStream
 from .mobility import Area, Rect
@@ -23,8 +22,11 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the key and constraint."""
 
 
-@dataclass
 class ScenarioConfig:
+    """One scenario's parameters. Each field below is a class attribute
+    holding its default; the constructor takes any of them by keyword.
+    Configs compare equal when every _KEYS value is equal."""
+
     # scenario
     protocol: str = "cml"
     security_mode: str = "none"
@@ -79,10 +81,24 @@ class ScenarioConfig:
     k: float = 0.65
     # security device
     c_p: float = 450e6
-    # adversary
-    adversary: AdversaryRole = field(default_factory=AdversaryRole)
+    # adversary; None stands for a fresh AdversaryRole() per config
+    adversary: AdversaryRole = None
     # output
     trace: bool = False
+
+    def __init__(self, **kw):
+        unknown = kw.keys() - _DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"ScenarioConfig has no field {min(unknown)!r}")
+        for name, default in _DEFAULTS.items():
+            setattr(self, name, kw.get(name, default))
+        if self.adversary is None:
+            self.adversary = AdversaryRole()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _values(self) == _values(other)
 
     # -- derived helpers -----------------------------------------------------
 
@@ -103,7 +119,11 @@ class ScenarioConfig:
                     obstacles=[Rect(*ob) for ob in self.obstacles])
 
     def replace(self, **kw):
-        return replace(self, **kw)
+        """A copy with the fields in kw changed. The copy shares this
+        config's AdversaryRole unless kw names another."""
+        fields = {name: getattr(self, name) for name in _DEFAULTS}
+        fields.update(kw)
+        return ScenarioConfig(**fields)
 
     # -- validation -------------------------------------------------------------
 
@@ -239,6 +259,8 @@ _KEYS = (
     ("output", "trace", "trace", _parse_bool, None),
 )
 _ROWS = {(section, key): row for section, key, *row in _KEYS}
+_DEFAULTS = {name: getattr(ScenarioConfig, name)
+             for name in ScenarioConfig.__annotations__}
 
 
 def _owner(cfg, attr):
@@ -246,6 +268,11 @@ def _owner(cfg, attr):
     is cfg.adversary's period, any other attribute is cfg's own."""
     head, _, name = attr.rpartition(".")
     return (cfg.adversary if head else cfg), name
+
+
+def _values(cfg):
+    """Every _KEYS value of cfg, in _KEYS order."""
+    return tuple(getattr(*_owner(cfg, attr)) for _, _, attr, _, _ in _KEYS)
 
 
 def parse_config(text):
@@ -295,14 +322,16 @@ def dump_config(cfg):
     return buf.getvalue()
 
 
-@dataclass
 class SweepSpec:
     """Cross-product enumeration for comparison sweeps, deterministic order."""
-    base: ScenarioConfig = field(default_factory=ScenarioConfig)
-    sizes: tuple = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
-    seeds: tuple = (1, 2, 3, 4, 5)
-    protocols: tuple = PROTOCOLS
-    security_modes: tuple = ("none",)
+
+    def __init__(self, base=None, sizes=(5, 10, 15, 20, 25, 30, 35, 40, 45, 50),
+                 seeds=(1, 2, 3, 4, 5), protocols=PROTOCOLS, security_modes=("none",)):
+        self.base = ScenarioConfig() if base is None else base
+        self.sizes = sizes
+        self.seeds = seeds
+        self.protocols = protocols
+        self.security_modes = security_modes
 
     def cells(self):
         """Fully resolved per-run configs, ordered deterministically."""

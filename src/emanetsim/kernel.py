@@ -60,8 +60,7 @@ class EventKernel:
 
         Each dispatched event passes one line, ending in its newline, to the
         trace callable when one is set, so a file's `write` serves as the
-        callable. The timestamp is formatted once for each run of equal fire
-        times.
+        callable.
         """
         if t_end < self.now:
             raise SchedulingError(f"run_until({t_end}) before now={self.now}")
@@ -69,7 +68,6 @@ class EventKernel:
         queue = self._queue
         pop = heapq.heappop
         trace = self.trace
-        stamp_time = stamp = None
         while queue and queue[0][0] <= t_end:
             entry = pop(queue)
             fire_time, _, fn, node, kind, detail = entry
@@ -79,10 +77,7 @@ class EventKernel:
             self.now = fire_time
             self.dispatched += 1
             if trace is not None:
-                if fire_time != stamp_time:
-                    stamp_time = fire_time
-                    stamp = f"{fire_time:.9f}"
-                trace(f"{stamp}\t{node}\t{kind}\t{detail}\n")
+                trace("%.9f\t%s\t%s\t%s\n" % (fire_time, node, kind, detail))
             fn()
         self.now = t_end
         return self.dispatched - before

@@ -3,7 +3,7 @@ run summaries, and cumulative-over-size aggregation."""
 
 import csv
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Per-run metrics: (CSV column, RunSummary attribute, format spec in
 # summary.csv, where "" writes a count as str() does). means.csv gives each
@@ -34,40 +34,43 @@ MEANS_HEADER = KEY_HEADER + [col for col, _, _ in METRICS]
 CUMULATIVE_HEADER = KEY_HEADER + [col for col, _, _ in CUMULATIVE]
 
 
-@dataclass
-class DeliveryRecord:
-    flow_id: tuple
-    seq: int
-    send_time: float
-    recv_time: float
-    hops: int
-    crypto_delay: float
+class DeliveryRecord(namedtuple(
+        "DeliveryRecord", "flow_id seq send_time recv_time hops crypto_delay")):
+    __slots__ = ()
 
     @property
     def delay(self):
         return self.recv_time - self.send_time
 
 
-@dataclass
 class ControlCounter:
-    count: int = 0
-    bytes: int = 0
+    __slots__ = ("count", "bytes")
+
+    def __init__(self):
+        self.count = 0
+        self.bytes = 0
 
 
-@dataclass
 class RunSummary:
-    protocol: str
-    security_mode: str
-    network_size: int
-    seed: int
-    avg_delay: float       # nan when nothing was delivered
-    avg_jitter: float      # nan when no flow has >= 2 deliveries
-    routing_load_packets: int
-    routing_load_bytes: int
-    data_packets_sent: int
-    data_packets_delivered: int
-    goodput_ratio: float   # delivered data packets / control packets
-    phase_shifts: int
+    """One run's metrics. A plain class with a __dict__, so that a caller
+    may attach more data to a summary and have it pickled along."""
+
+    def __init__(self, protocol, security_mode, network_size, seed, avg_delay,
+                 avg_jitter, routing_load_packets, routing_load_bytes,
+                 data_packets_sent, data_packets_delivered, goodput_ratio,
+                 phase_shifts):
+        self.protocol = protocol
+        self.security_mode = security_mode
+        self.network_size = network_size
+        self.seed = seed
+        self.avg_delay = avg_delay    # nan when nothing was delivered
+        self.avg_jitter = avg_jitter  # nan when no flow has >= 2 deliveries
+        self.routing_load_packets = routing_load_packets
+        self.routing_load_bytes = routing_load_bytes
+        self.data_packets_sent = data_packets_sent
+        self.data_packets_delivered = data_packets_delivered
+        self.goodput_ratio = goodput_ratio  # delivered data packets / control packets
+        self.phase_shifts = phase_shifts
 
     def csv_row(self):
         return [self.protocol, self.security_mode, str(self.network_size),

@@ -7,20 +7,16 @@ between them. Obstacles block both movement and line of sight.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 class MobilityError(Exception):
     """Raised when sampling cannot find free space (misconfigured obstacles)."""
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(namedtuple("Rect", "x y w h")):
     """Axis-aligned rectangle, used for obstacles."""
-    x: float
-    y: float
-    w: float
-    h: float
+    __slots__ = ()
 
     def contains(self, px, py):
         return self.x < px < self.x + self.w and self.y < py < self.y + self.h
@@ -54,12 +50,13 @@ class Rect:
         return t0 < t1
 
 
-@dataclass
 class Area:
     """Simulation area with optional rectangular obstacles."""
-    width: float
-    height: float
-    obstacles: list = field(default_factory=list)
+
+    def __init__(self, width, height, obstacles=()):
+        self.width = width
+        self.height = height
+        self.obstacles = obstacles  # Rects
 
     def inside(self, x, y):
         return 0.0 <= x <= self.width and 0.0 <= y <= self.height

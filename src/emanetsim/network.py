@@ -141,7 +141,7 @@ class World:
         for n in self.nodes:
             self.mobility.advance(n.kin, n.streams["mob"], now, dt)
         self.refresh_links()
-        self.kernel.schedule_in(dt, self._mobility_tick, kind="mobility-tick")
+        self.kernel.schedule_in(dt, self._mobility_tick, "mobility-tick")
 
     # ---- radio ----------------------------------------------------------
 
@@ -166,7 +166,7 @@ class World:
             max_jitter = self.cfg.broadcast_jitter
         jitter = node.streams["proto"].uniform(0.0, max_jitter)
         self.kernel.schedule_in(jitter, lambda: self.relay(node, frame),
-                                kind="relay", node=node.id, detail=detail)
+                                "relay", node.id, detail)
 
     def _enqueue(self, node, frame):
         if not node.active:
@@ -180,7 +180,7 @@ class World:
     def _schedule_pump(self, node, at):
         if not node.pump_scheduled:
             node.pump_scheduled = True
-            self.kernel.schedule(at, node.pump_event, kind="pump", node=node.id)
+            self.kernel.schedule(at, node.pump_event, "pump", node.id)
 
     def _pump_event(self, node):
         node.pump_scheduled = False
@@ -257,7 +257,7 @@ class World:
 
         kernel.schedule(end, partial(self._tx_done, node, item, deliver_to, now,
                                      rcv_delay),
-                        kind="tx-end", node=node.id, detail=frame.kind)
+                        "tx-end", node.id, frame.kind)
 
     def _tx_done(self, node, item, deliver_to, t_start, rcv_delay):
         """Settle a contended transmission at the end of its airtime, from
@@ -306,7 +306,7 @@ class World:
             detail = f"{detail}>{','.join(map(str, v_ids))}"
         kernel.schedule(air_end + self.cfg.processing_delay + rcv_delay,
                         partial(self._receive, v_ids, frame, rcv_delay),
-                        kind="rx", node=frame.sender, detail=detail)
+                        "rx", frame.sender, detail)
 
     def _receive(self, v_ids, frame, rcv_delay):
         """Hand frame to each receiver still active, in order: a control
@@ -371,12 +371,12 @@ class World:
         flow_id = (src, epoch)
         self.flows[flow_id] = {"src": src, "dst": dst, "seq": 0}
         self.kernel.schedule(when, lambda: self._send_tick(flow_id),
-                             kind="traffic-send", node=src)
+                             "traffic-send", src)
         if self.cfg.rotation_interval > 0:
             self.kernel.schedule(when + self.cfg.rotation_interval,
                                  lambda: self._new_epoch(src, epoch + 1, fstream,
                                                          self.kernel.now),
-                                 kind="traffic-rotate", node=src)
+                                 "traffic-rotate", src)
 
     def _send_tick(self, flow_id):
         flow = self.flows[flow_id]
@@ -399,7 +399,7 @@ class World:
             self.data_dropped(msg, "source-inactive")
         self.kernel.schedule_in(1.0 / cfg.traffic_rate,
                                 lambda: self._send_tick(flow_id),
-                                kind="traffic-send", node=flow["src"])
+                                "traffic-send", flow["src"])
 
     # ---- adversaries -------------------------------------------------------
 
@@ -418,16 +418,16 @@ class World:
             for i in adv.nodes:
                 self.kernel.schedule(self.cfg.warmup * 0.5 + adv.period,
                                      lambda n=i: self._forge_cp(n, adv),
-                                     kind="attack", node=i)
+                                     "attack", i)
         elif adv.behavior == sec.ATTACK_OSCILLATE:
             self.kernel.schedule(adv.period, lambda: self._toggle_group(adv),
-                                 kind="attack")
+                                 "attack")
 
     def _forge_cp(self, node_id, adv):
         self._forge_target = self.nodes[node_id].driver.forge_cp(self._forge_target)
         self.metrics.adversary_injected += 1
         self.kernel.schedule_in(adv.period, lambda: self._forge_cp(node_id, adv),
-                                kind="attack", node=node_id)
+                                "attack", node_id)
 
     def _toggle_group(self, adv):
         for i in adv.nodes:
@@ -441,7 +441,7 @@ class World:
                 node.tx_busy_until = self.kernel.now
         self.refresh_links()
         self.kernel.schedule_in(adv.period, lambda: self._toggle_group(adv),
-                                kind="attack")
+                                "attack")
 
     # ---- run ---------------------------------------------------------------
 
@@ -458,7 +458,7 @@ class World:
             node.driver.boot()
         if self.cfg.v_max > 0:
             self.kernel.schedule_in(self.cfg.mobility_tick, self._mobility_tick,
-                                    kind="mobility-tick")
+                                    "mobility-tick")
         self._start_traffic()
         self._start_adversaries()
 

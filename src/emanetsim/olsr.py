@@ -162,9 +162,9 @@ class OlsrNode:
         hello_at = stream.uniform(0.0, self.cfg.hello_interval)
         tc_at = stream.uniform(0.0, self.cfg.tc_interval)
         self.world.kernel.schedule(hello_at, self._hello_timer,
-                                   kind="timer", node=self.node.id, detail="hello")
+                                   "timer", self.node.id, "hello")
         self.world.kernel.schedule(tc_at, self._tc_timer,
-                                   kind="timer", node=self.node.id, detail="tc")
+                                   "timer", self.node.id, "tc")
 
     def reset(self):
         """Cold start: forget everything learned."""
@@ -185,7 +185,7 @@ class OlsrNode:
         stream = self.node.streams["proto"]
         nxt = self.cfg.hello_interval - stream.uniform(0.0, 0.1 * self.cfg.hello_interval)
         self.world.kernel.schedule_in(nxt, self._hello_timer,
-                                      kind="timer", node=self.node.id, detail="hello")
+                                      "timer", self.node.id, "hello")
 
     def _tc_timer(self):
         if self.enabled and self.node.active:
@@ -193,7 +193,7 @@ class OlsrNode:
         stream = self.node.streams["proto"]
         nxt = self.cfg.tc_interval - stream.uniform(0.0, 0.1 * self.cfg.tc_interval)
         self.world.kernel.schedule_in(nxt, self._tc_timer,
-                                      kind="timer", node=self.node.id, detail="tc")
+                                      "timer", self.node.id, "tc")
 
     def emit_hello(self):
         self._purge()

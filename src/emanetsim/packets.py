@@ -1,7 +1,5 @@
 """Packet kinds, wire sizes for load accounting, and the per-hop frame envelope."""
 
-from dataclasses import dataclass, field
-
 # Wire sizes in bytes for routing-load accounting. Header formats are not
 # modeled bit-for-bit; each carried node id costs 4 bytes.
 BASE_HEADER = 16
@@ -38,136 +36,158 @@ def mask(ids):
     return m
 
 
-@dataclass
-class HelloMsg:
-    origin: int
-    neighbor_list: tuple
-    mpr_flags: frozenset
-    neighbor_mask: int = field(init=False, repr=False, compare=False)
+# A message or frame is built for each transmission, so each is a __slots__
+# class with an explicit __init__, the cheapest record here to build and
+# read. They compare by identity.
 
-    def __post_init__(self):
-        self.neighbor_mask = mask(self.neighbor_list)
+class HelloMsg:
+    __slots__ = ("origin", "neighbor_list", "mpr_flags", "neighbor_mask")
+
+    def __init__(self, origin, neighbor_list, mpr_flags):
+        self.origin = origin
+        self.neighbor_list = neighbor_list  # tuple
+        self.mpr_flags = mpr_flags          # frozenset
+        self.neighbor_mask = mask(neighbor_list)
 
     def wire_size(self):
         return BASE_HEADER + ID_BYTES * len(self.neighbor_list)
 
 
-@dataclass
 class TcMsg:
-    origin: int
-    advertised: tuple
-    sequence: int
-    advertised_mask: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("origin", "advertised", "sequence", "advertised_mask")
 
-    def __post_init__(self):
-        self.advertised_mask = mask(self.advertised)
+    def __init__(self, origin, advertised, sequence):
+        self.origin = origin
+        self.advertised = advertised  # tuple
+        self.sequence = sequence
+        self.advertised_mask = mask(advertised)
 
     def wire_size(self):
         return BASE_HEADER + ID_BYTES * len(self.advertised)
 
 
-@dataclass
 class RreqMsg:
-    origin: int
-    destination: int
-    rreq_id: int
-    origin_sequence: int
-    hop_count: int
+    __slots__ = ("origin", "destination", "rreq_id", "origin_sequence", "hop_count")
+
+    def __init__(self, origin, destination, rreq_id, origin_sequence, hop_count):
+        self.origin = origin
+        self.destination = destination
+        self.rreq_id = rreq_id
+        self.origin_sequence = origin_sequence
+        self.hop_count = hop_count
 
     def wire_size(self):
         return RREQ_SIZE
 
 
-@dataclass
 class RrepMsg:
-    origin: int       # discovery originator; final recipient of the reply
-    destination: int  # node that owns the discovered route
-    dest_sequence: int
-    hop_count: int
+    __slots__ = ("origin", "destination", "dest_sequence", "hop_count")
+
+    def __init__(self, origin, destination, dest_sequence, hop_count):
+        self.origin = origin            # discovery originator; final recipient of the reply
+        self.destination = destination  # node that owns the discovered route
+        self.dest_sequence = dest_sequence
+        self.hop_count = hop_count
 
     def wire_size(self):
         return RREP_SIZE
 
 
-@dataclass
 class DsrRreqMsg:
-    origin: int
-    destination: int
-    rreq_id: int
-    route_record: tuple
+    __slots__ = ("origin", "destination", "rreq_id", "route_record")
+
+    def __init__(self, origin, destination, rreq_id, route_record):
+        self.origin = origin
+        self.destination = destination
+        self.rreq_id = rreq_id
+        self.route_record = route_record  # tuple
 
     def wire_size(self):
         return BASE_HEADER + ID_BYTES * len(self.route_record)
 
 
-@dataclass
 class DsrRrepMsg:
-    origin: int
-    destination: int
-    route: tuple  # full path origin..destination
-    cursor: int   # index of the node currently holding the reply
+    __slots__ = ("origin", "destination", "route", "cursor")
+
+    def __init__(self, origin, destination, route, cursor):
+        self.origin = origin
+        self.destination = destination
+        self.route = route    # full path origin..destination
+        self.cursor = cursor  # index of the node currently holding the reply
 
     def wire_size(self):
         return BASE_HEADER + ID_BYTES * len(self.route)
 
 
-@dataclass
 class DsrRerrMsg:
-    origin: int
-    broken_from: int
-    broken_to: int
-    path_back: tuple  # traversed prefix, walked in reverse
-    cursor: int
+    __slots__ = ("origin", "broken_from", "broken_to", "path_back", "cursor")
+
+    def __init__(self, origin, broken_from, broken_to, path_back, cursor):
+        self.origin = origin
+        self.broken_from = broken_from
+        self.broken_to = broken_to
+        self.path_back = path_back  # traversed prefix, walked in reverse
+        self.cursor = cursor
 
     def wire_size(self):
         return BASE_HEADER + 2 * ID_BYTES
 
 
-@dataclass
 class CpMsg:
-    origin: int
-    target_phase: str
-    sequence: int
+    __slots__ = ("origin", "target_phase", "sequence")
+
+    def __init__(self, origin, target_phase, sequence):
+        self.origin = origin
+        self.target_phase = target_phase
+        self.sequence = sequence
 
     def wire_size(self):
         return CP_SIZE
 
 
-@dataclass
 class HcReqMsg:
-    origin: int
-    probe_id: int
-    ttl: int
-    hops: int = 0  # hops traveled so far, for reverse-route installation
-    is_echo: bool = False
-    echo_parent: tuple = None  # (origin, probe_id) of the triggering probe
+    __slots__ = ("origin", "probe_id", "ttl", "hops", "is_echo", "echo_parent")
+
+    def __init__(self, origin, probe_id, ttl, hops=0, is_echo=False, echo_parent=None):
+        self.origin = origin
+        self.probe_id = probe_id
+        self.ttl = ttl
+        self.hops = hops  # hops traveled so far, for reverse-route installation
+        self.is_echo = is_echo
+        self.echo_parent = echo_parent  # (origin, probe_id) of the triggering probe
 
     def wire_size(self):
         return HCREQ_SIZE
 
 
-@dataclass
 class HcRepMsg:
-    responder: int
-    origin: int    # node the reply is heading to
-    probe_id: int  # probe this reply answers, at the current recipient
+    __slots__ = ("responder", "origin", "probe_id")
+
+    def __init__(self, responder, origin, probe_id):
+        self.responder = responder
+        self.origin = origin      # node the reply is heading to
+        self.probe_id = probe_id  # probe this reply answers, at the current recipient
 
     def wire_size(self):
         return HCREP_SIZE
 
 
-@dataclass
 class DataMsg:
-    flow_id: tuple
-    seq: int
-    src: int
-    dst: int
-    payload: int
-    send_time: float
-    source_route: tuple = None  # DSR only
-    cursor: int = 0
-    hops: int = 0
-    crypto_delay: float = 0.0
+    __slots__ = ("flow_id", "seq", "src", "dst", "payload", "send_time",
+                 "source_route", "cursor", "hops", "crypto_delay")
+
+    def __init__(self, flow_id, seq, src, dst, payload, send_time,
+                 source_route=None, cursor=0, hops=0, crypto_delay=0.0):
+        self.flow_id = flow_id  # tuple
+        self.seq = seq
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.send_time = send_time
+        self.source_route = source_route  # DSR only
+        self.cursor = cursor
+        self.hops = hops
+        self.crypto_delay = crypto_delay
 
     def wire_size(self):
         size = DATA_HEADER + self.payload
@@ -176,22 +196,20 @@ class DataMsg:
         return size
 
 
-@dataclass
 class Frame:
     """One on-air transmission: a message plus hop and integrity metadata."""
-    kind: str
-    msg: object
-    sender: int
-    receiver: int = None        # None = broadcast to all current neighbors
-    sec_valid: bool = True      # cleared for forged or tampered packets
-    adversary_origin: bool = False
+    __slots__ = ("kind", "msg", "sender", "receiver", "sec_valid", "adversary_origin")
+
+    def __init__(self, kind, msg, sender, receiver=None, sec_valid=True,
+                 adversary_origin=False):
+        self.kind = kind
+        self.msg = msg
+        self.sender = sender
+        self.receiver = receiver  # None = broadcast to all current neighbors
+        self.sec_valid = sec_valid  # cleared for forged or tampered packets
+        self.adversary_origin = adversary_origin
 
     def clone_for_relay(self, sender, msg=None):
         """A broadcast copy of this frame from sender, with msg if given."""
-        return Frame(
-            kind=self.kind,
-            msg=self.msg if msg is None else msg,
-            sender=sender,
-            sec_valid=self.sec_valid,
-            adversary_origin=self.adversary_origin,
-        )
+        return Frame(self.kind, self.msg if msg is None else msg, sender, None,
+                     self.sec_valid, self.adversary_origin)

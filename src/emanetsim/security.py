@@ -7,7 +7,6 @@ HMAC-MD5 / AES time costs derived from a device's instruction rate.
 """
 
 import math
-from dataclasses import dataclass
 
 MODE_NONE = "none"
 MODE_AH = "ah-only"
@@ -29,14 +28,13 @@ AES128_DEC_CYCLES = 10992
 MD5_BLOCK_BITS = 512
 
 
-@dataclass(frozen=True)
 class DeviceProfile:
     """Processing capability of the handheld device, instructions per second."""
-    c_p: float = 450e6
 
-    def __post_init__(self):
-        if self.c_p <= 0:
+    def __init__(self, c_p=450e6):
+        if c_p <= 0:
             raise ValueError("device instruction rate must be positive")
+        self.c_p = c_p
 
 
 def hmac_blocks(total_bytes):
@@ -114,7 +112,6 @@ ATTACKS = (ATTACK_NONE, ATTACK_FORGE_CP, ATTACK_OSCILLATE,
            ATTACK_TAMPER_HCREQ, ATTACK_DROP_CP)
 
 
-@dataclass
 class AdversaryRole:
     """Adversary behavior attached to designated nodes.
 
@@ -125,7 +122,10 @@ class AdversaryRole:
                    which clears their integrity validity.
     drop-cp      : silently discard change-phase packets in transit.
     """
-    behavior: str = ATTACK_NONE
-    nodes: tuple = ()
-    period: float = 20.0
-    target_phase: str = "r-phase"
+
+    def __init__(self, behavior=ATTACK_NONE, nodes=(), period=20.0,
+                 target_phase="r-phase"):
+        self.behavior = behavior
+        self.nodes = nodes
+        self.period = period
+        self.target_phase = target_phase

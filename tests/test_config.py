@@ -151,6 +151,38 @@ def test_manifest_round_trip():
     assert back == cfg
 
 
+def _changed(value):
+    """A value of value's type that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, tuple):
+        return value + (value[0] if value else 0,)
+    return value + ("-" if isinstance(value, str) else 1)
+
+
+@pytest.mark.parametrize("attr", [attr for _, _, attr, _, _ in _KEYS])
+def test_configs_differing_in_one_key_compare_unequal(attr):
+    head, _, name = attr.rpartition(".")
+    value = getattr(AdversaryRole() if head else ScenarioConfig(), name)
+    if head:
+        other = ScenarioConfig(adversary=AdversaryRole(**{name: _changed(value)}))
+    else:
+        other = ScenarioConfig(**{name: _changed(value)})
+    assert ScenarioConfig() == ScenarioConfig()
+    assert other != ScenarioConfig()
+
+
+def test_each_config_gets_its_own_adversary_role():
+    assert ScenarioConfig().adversary is not ScenarioConfig().adversary
+
+
+def test_unknown_field_names_raise_type_error():
+    with pytest.raises(TypeError):
+        ScenarioConfig(bogus=1)
+    with pytest.raises(TypeError):
+        ScenarioConfig().replace(bogus=1)
+
+
 def test_parse_sizes_forms():
     assert parse_sizes("5:50:5") == tuple(range(5, 51, 5))
     assert parse_sizes("5:20") == (5, 10, 15, 20)

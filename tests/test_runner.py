@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 import emanetsim
 from emanetsim.config import ScenarioConfig, SweepSpec
-from emanetsim.metrics import CSV_HEADER
+from emanetsim.metrics import CSV_HEADER, RunSummary
 from emanetsim.network import World
 from emanetsim.runner import (calibrate_k, graph_diameter, run_cells,
                               run_scenario, run_sweep, seed_means,
@@ -181,3 +182,25 @@ def test_package_import_loads_no_pool_and_no_driver():
     loaded = {m for m in out if m.split(".")[0] == "multiprocessing"}
     loaded |= {f"emanetsim.{d}" for d in ("aodv", "cml", "dsr", "olsr")} & set(out)
     assert loaded == set()
+
+
+def test_package_import_loads_no_dataclasses_or_inspect():
+    # the package's records are plain classes and namedtuples, so importing
+    # the package and its CLI loads neither module
+    src = os.path.dirname(os.path.dirname(emanetsim.__file__))
+    code = ("import sys; before = set(sys.modules); import emanetsim, emanetsim.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "emanetsim.cli" in out
+    assert {"dataclasses", "inspect"} & set(out) == set()
+
+
+def test_run_summary_pickles_with_extra_attributes():
+    summary = RunSummary("cml", "hybrid", 50, 1, 0.5, float("nan"), 10, 800,
+                         20, 19, 1.9, 2)
+    summary.__dict__["extra"] = {"calls": 3}
+    back = pickle.loads(pickle.dumps(summary))
+    assert back.csv_row() == summary.csv_row()
+    assert back.extra == {"calls": 3}
