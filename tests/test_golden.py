@@ -1,6 +1,7 @@
-"""Golden digests: the sha256 of summary.csv and transitions.log for a small
-fixed grid of cells, and of trace.log for the cells run with the trace on,
-plus the sha256 of summary.csv, means.csv and cumulative.csv for one sweep.
+"""Golden digests: the sha256 of summary.csv, transitions.log and
+manifest.ini for a small fixed grid of cells, and of trace.log for the cells
+run with the trace on, plus the sha256 of summary.csv, means.csv,
+cumulative.csv and manifest.ini for one sweep.
 A change meant to keep the simulator's behaviour must leave every digest
 unchanged; a change that alters behaviour on purpose updates the table here
 and says why in CHANGES.md.
@@ -57,6 +58,23 @@ GOLDEN = {
     'olsr-n50': ('2968ac0ef67cbdbf6b81a8f14456c23f7c769655baf2eba4a9adb27f2fde5155', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '11c22f6402c35e2812feb98b4946798058a2a3582cd6644df69be1a26b7c5dc6'),
 }
 
+# cell -> sha256 of its manifest.ini, the resolved config written back
+MANIFEST = {
+    'aodv-n20': '63334812bf93e1f4e4fa030c673eda476588176d6f3cdbbb9e66af2cf86f0a14',
+    'aodv-n5': '4de828f30778a1a612b5552c7bc42ef7d354371105b8d0a82972c29faf91fbde',
+    'cml-n20': '8f4b19a9d31b561f4ff65351a976273993858afc5e22e8e0af10a59bded85fc9',
+    'cml-n20-forge-cp': '33d249aecc4ae69b59f5e0161864604f989e925a21f903287045cc780da8ce56',
+    'cml-n20-hybrid': 'b543619c5014e178d3097f3b03b813c6f269c5a6cccf891a6f37d8e266397fb0',
+    'cml-n20-ideal-hybrid': 'c0e2d2738798b055a6a1a718b82141f434e7c760e3454a59506ea40a4dffe288',
+    'cml-n20-oscillate': 'e731a8b7d89b45af589ecc8c9eb1e6e0d22aa5dcd018975625a3d07153c20c5e',
+    'cml-n5': '0421be13e8245405389f0ffa6bf24b66f9c9def688b600434d27e5c31a62308b',
+    'dsr-n20': 'cf835d49cc6acdc54d5a40f6368435c7d08d4de6339054fa771948554bc563ea',
+    'dsr-n5': '12fb547b18818a620f88db89172714e7e6eb2a5ff3361579f3f86368cd1e4f85',
+    'olsr-n20': '03c5b1f0e9b2441d0acfe75cce363593848a0826b89c5c798a21a7eb8988d039',
+    'olsr-n5': '52060c37d154fb6952c78f30fe827d57f29b7949c5fdfa855f25fab4ec126807',
+    'olsr-n50': 'a61a31f87fc950175e0afe0087af5b07f7f3a2c80acb06a80c7eac0f24545a90',
+}
+
 # cell -> sha256 of its trace.log with every rx line expanded into one line
 # per receiver, "t<TAB>receiver<TAB>rx<TAB>KIND", the form the trace had while
 # each receiver had an rx event of its own. The five contended cells keep the
@@ -80,11 +98,12 @@ SWEEP = SweepSpec(base=ScenarioConfig(duration=60.0, warmup=10.0,
                                       traffic_rate=0.1),
                   sizes=(2, 5, 10), seeds=(1, 2), protocols=PROTOCOLS,
                   security_modes=("none", "hybrid"))
-SWEEP_FILES = ("summary.csv", "means.csv", "cumulative.csv")
+SWEEP_FILES = ("summary.csv", "means.csv", "cumulative.csv", "manifest.ini")
 SWEEP_GOLDEN = (
     '35951ab900d686df81beaad1726d14129e01b4f2baa67c6f4ff9aee3d10e5446',
     '0684193f6a416987d8c0413f74a92ad4b49235dacd8642347417ae2287ae5f98',
-    '09895c8ed28f1c59464eaa1c64dd1648aaed301d1523e8d4484d6d568ffbf45b')
+    '09895c8ed28f1c59464eaa1c64dd1648aaed301d1523e8d4484d6d568ffbf45b',
+    '74066dcb063ee9a743d7614b9d07ae0d7fe519dfda6e25cfbd4a2d3f046b3d6d')
 
 
 def sha256_of(path):
@@ -126,6 +145,8 @@ def sweep_digests(out_dir):
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_golden_digests(name, tmp_path):
     assert cell_digests(name, str(tmp_path)) == GOLDEN[name]
+    assert sha256_of(os.path.join(str(tmp_path), "run", "manifest.ini")) == \
+        MANIFEST[name]
 
 
 @pytest.mark.parametrize("name", sorted(EXPANDED_TRACE))
@@ -143,6 +164,8 @@ if __name__ == "__main__":
     import tempfile
     for name in sorted(CELLS):
         with tempfile.TemporaryDirectory() as tmp:
-            print(f"    {name!r}: {cell_digests(name, tmp)!r},")
+            digests = cell_digests(name, tmp)
+            manifest = sha256_of(os.path.join(tmp, "run", "manifest.ini"))
+            print(f"    {name!r}: {digests!r},  # manifest {manifest!r}")
     with tempfile.TemporaryDirectory() as tmp:
         print(f"SWEEP_GOLDEN = {sweep_digests(tmp)!r}")
