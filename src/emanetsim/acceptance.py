@@ -26,7 +26,6 @@ from .config import PROTOCOLS, ScenarioConfig, SweepSpec
 from .network import World
 from .olsr import mask, route_to, select_mprs, shortest_routes
 from .runner import hop_distances, run_cells, seed_means, static_connected_world
-from .security import AdversaryRole
 
 SIZES = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 SEEDS = (1, 2, 3, 4, 5)
@@ -176,19 +175,18 @@ def criterion_routing_load(parallel=2):
 # -- criterion 6: analytic exactness ---------------------------------------------------------------
 
 def criterion_analytic_exactness():
-    profile = sec.DeviceProfile(450e6)
-    t_enc, t_dec = sec.aes_times(profile)
+    t_enc, t_dec = sec.aes_times(450e6)
     checks = [
         abs(t_enc - 13.7e-6) < 0.1e-6,
         abs(t_dec - 24.4e-6) < 0.1e-6,
         t_enc == 6168 / 450e6,
         t_dec == 10992 / 450e6,
         sec.space_overhead(sec.MODE_HYBRID) == 34,
-        sec.hmac_time(1, profile) == 778 / 450e6,
+        sec.hmac_time(1, 450e6) == 778 / 450e6,
     ]
     # expected discrepancy: the closed form gives ~1.729us at one block while
     # the reported per-packet figure is 1.68us (~3% apart); the formula wins
-    discrepancy = abs(sec.hmac_time(1, profile) - 1.68e-6) / 1.68e-6
+    discrepancy = abs(sec.hmac_time(1, 450e6) - 1.68e-6) / 1.68e-6
     checks.append(0.01 < discrepancy < 0.05)
     ok = all(checks)
     return CriterionResult(
@@ -291,7 +289,7 @@ def ah_gap_residuals(cfg, runs):
 
     def hmac(mode):
         return sec.hmac_time(sec.hmac_blocks(wire + sec.space_overhead(mode)),
-                             cfg.device)
+                             cfg.c_p)
 
     per_hop = 2 * (hmac(sec.MODE_HYBRID) - hmac(sec.MODE_AH))
     rows = []
@@ -399,9 +397,8 @@ def hysteresis_runs(parallel=2):
     cells = [ScenarioConfig(
         protocol="cml", n=12, seed=seed, x=2, duration=300.0,
         warmup=30.0, v_min=0.0, v_max=0.0, traffic_rate=0.5,
-        rotation_interval=10.0,
-        adversary=AdversaryRole(behavior=sec.ATTACK_OSCILLATE,
-                                nodes=(10, 11), period=20.0)).validate()
+        rotation_interval=10.0, adversary_behavior=sec.ATTACK_OSCILLATE,
+        adversary_nodes=(10, 11), adversary_period=20.0).validate()
         for seed in (1, 2, 3)]
     return list(zip(cells, run_cells(cells, parallel, _phase_cell)))
 
@@ -450,9 +447,9 @@ def _attack_config(behavior, security, seed=2, n=9, period=40.0, x=2):
     return ScenarioConfig(protocol="cml", n=n, seed=seed, x=x,
                           duration=200.0, warmup=40.0, v_min=0.0, v_max=0.0,
                           traffic_rate=0.5, security_mode=security,
-                          adversary=AdversaryRole(
-                              behavior=behavior, nodes=(n - 1,), period=period,
-                              target_phase="r-phase")).validate()
+                          adversary_behavior=behavior, adversary_nodes=(n - 1,),
+                          adversary_period=period,
+                          adversary_target_phase="r-phase").validate()
 
 
 @functools.cache

@@ -9,7 +9,7 @@ from . import acceptance
 from .config import (PROTOCOLS, ConfigError, ScenarioConfig, SweepSpec,
                      load_config, parse_sizes)
 from .runner import calibrate_k, run_scenario, run_sweep
-from .security import ATTACK_NONE, ATTACKS, AdversaryRole
+from .security import ATTACK_NONE, ATTACKS
 
 
 def add_common(p):
@@ -71,11 +71,10 @@ def cmd_calibrate(args):
 
 def cmd_attack(args):
     cfg = base_config(args)
-    adversary = AdversaryRole(behavior=args.behavior,
-                              nodes=tuple(args.nodes or (cfg.n - 1,)),
-                              period=args.period,
-                              target_phase=args.target_phase)
-    cfg = cfg.replace(protocol="cml", adversary=adversary).validate()
+    cfg = cfg.replace(protocol="cml", adversary_behavior=args.behavior,
+                      adversary_nodes=tuple(args.nodes or (cfg.n - 1,)),
+                      adversary_period=args.period,
+                      adversary_target_phase=args.target_phase).validate()
     summary, world = run_scenario(cfg, out_dir=args.out,
                                   run_name=f"attack_{args.behavior}_{cfg.security_mode}")
     triggered = [r for r in world.transitions if r.trigger.endswith(":adv")]

@@ -14,8 +14,7 @@ import operator
 from .kernel import RandomStream
 from .mobility import Area, Rect
 from .protocols import PROTOCOLS
-from .security import (AdversaryRole, ATTACKS, ATTACK_NONE, ATTACK_OSCILLATE,
-                       SECURITY_MODES, DeviceProfile)
+from .security import ATTACKS, ATTACK_NONE, ATTACK_OSCILLATE, SECURITY_MODES
 
 
 class ConfigError(Exception):
@@ -23,68 +22,9 @@ class ConfigError(Exception):
 
 
 class ScenarioConfig:
-    """One scenario's parameters. Each field below is a class attribute
-    holding its default; the constructor takes any of them by keyword.
-    Configs compare equal when every _KEYS value is equal."""
-
-    # scenario
-    protocol: str = "cml"
-    security_mode: str = "none"
-    n: int = 20
-    duration: float = 300.0
-    warmup: float = 50.0
-    seed: int = 1
-    # area; width/height of 0 means auto: side = area_scale * sqrt(n)
-    width: float = 0.0
-    height: float = 0.0
-    area_scale: float = 190.0
-    obstacles: tuple = ()
-    # radio / channel
-    radius: float = 250.0
-    bandwidth_bps: float = 300_000.0
-    mac_overhead_bytes: int = 38
-    processing_delay: float = 0.0005
-    difs: float = 0.0002
-    slot_time: float = 0.0005
-    cw_min: int = 8
-    retry_limit: int = 3
-    broadcast_jitter: float = 0.02
-    hcreq_jitter: float = 0.6
-    ideal_channel: bool = False
-    # mobility
-    v_min: float = 1.0
-    v_max: float = 2.0
-    pause_max: float = 10.0
-    mobility_tick: float = 0.5
-    # traffic
-    traffic_rate: float = 1.0
-    traffic_payload: int = 512
-    rotation_interval: float = 5.0  # re-draw each flow destination every (s)
-    traffic_start: float = 5.0
-    # olsr
-    hello_interval: float = 2.0
-    tc_interval: float = 5.0
-    # aodv / dsr
-    node_traversal_time: float = 0.04
-    net_diameter: int = 35
-    route_lifetime: float = 10.0
-    rreq_retries: int = 2
-    buffer_cap: int = 64
-    buffer_hold: float = 0.2  # buffered data older than this is dropped, not sent
-    seen_lifetime: float = 30.0
-    cache_paths: int = 3
-    cache_lifetime: float = 30.0
-    # cml
-    nst: int = 10
-    x: int = 2
-    t_osc: float = 30.0
-    k: float = 0.65
-    # security device
-    c_p: float = 450e6
-    # adversary; None stands for a fresh AdversaryRole() per config
-    adversary: AdversaryRole = None
-    # output
-    trace: bool = False
+    """One scenario's parameters: one attribute per _KEYS row, whose default
+    the row gives; the constructor takes any of them by keyword. Configs
+    compare equal when every _KEYS value is equal."""
 
     def __init__(self, **kw):
         unknown = kw.keys() - _DEFAULTS.keys()
@@ -92,22 +32,16 @@ class ScenarioConfig:
             raise TypeError(f"ScenarioConfig has no field {min(unknown)!r}")
         for name, default in _DEFAULTS.items():
             setattr(self, name, kw.get(name, default))
-        if self.adversary is None:
-            self.adversary = AdversaryRole()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return _values(self) == _values(other)
+        return vars(self) == vars(other)
 
     # -- derived helpers -----------------------------------------------------
 
     def stream(self):
         return RandomStream(self.seed)
-
-    @property
-    def device(self):
-        return DeviceProfile(self.c_p)
 
     def area_side(self):
         return self.area_scale * math.sqrt(self.n)
@@ -119,11 +53,8 @@ class ScenarioConfig:
                     obstacles=[Rect(*ob) for ob in self.obstacles])
 
     def replace(self, **kw):
-        """A copy with the fields in kw changed. The copy shares this
-        config's AdversaryRole unless kw names another."""
-        fields = {name: getattr(self, name) for name in _DEFAULTS}
-        fields.update(kw)
-        return ScenarioConfig(**fields)
+        """A copy with the fields in kw changed."""
+        return ScenarioConfig(**{**vars(self), **kw})
 
     # -- validation -------------------------------------------------------------
 
@@ -135,9 +66,9 @@ class ScenarioConfig:
             if not cond:
                 raise ConfigError(f"{key}: {constraint}")
 
-        for section, key, attr, _, bound in _KEYS:
-            value = getattr(*_owner(self, attr))
-            name = attr if section == "adversary" else key
+        for section, key, attr, _, _, bound in _KEYS:
+            value = getattr(self, attr)
+            name = f"adversary.{key}" if section == "adversary" else key
             need(not isinstance(value, float) or math.isfinite(value), name,
                  "must be finite")
             if isinstance(bound, tuple):
@@ -151,14 +82,22 @@ class ScenarioConfig:
              "rotation", "must be 0 or >= 0.001")
         need(self.v_min <= self.v_max, "v_min", "must not exceed v_max")
         need(self.x < self.nst, "x", "must be < nst")
-        need(self.adversary.behavior in (ATTACK_NONE, ATTACK_OSCILLATE)
-             or self.protocol == "cml", "adversary.behavior",
-             f"{self.adversary.behavior} needs protocol cml")
-        need(self.adversary.nodes or self.adversary.behavior == ATTACK_NONE,
-             "adversary.nodes", f"{self.adversary.behavior} needs at least one node")
-        need(len(set(self.adversary.nodes)) == len(self.adversary.nodes),
-             "adversary.nodes", "ids must not repeat")
-        for i in self.adversary.nodes:
+        # CML turns k into a probe ttl, ceil(sqrt((nst - x) / k)), and a hop
+        # count h < nodes into a size estimate, round(k * h^2); an int too
+        # large for a float overflows here as it would there
+        try:
+            k_fits = (math.isfinite((self.nst - self.x) / self.k)
+                      and math.isfinite(self.k * self.n * self.n))
+        except OverflowError:
+            k_fits = False
+        need(k_fits, "k", "must keep (nst - x) / k and k * nodes^2 finite")
+        behavior, nodes = self.adversary_behavior, self.adversary_nodes
+        need(behavior in (ATTACK_NONE, ATTACK_OSCILLATE) or self.protocol == "cml",
+             "adversary.behavior", f"{behavior} needs protocol cml")
+        need(nodes or behavior == ATTACK_NONE,
+             "adversary.nodes", f"{behavior} needs at least one node")
+        need(len(set(nodes)) == len(nodes), "adversary.nodes", "ids must not repeat")
+        for i in nodes:
             need(0 <= i < self.n, "adversary.nodes", "ids must be < nodes")
         area = self.build_area()
         for ob in area.obstacles:
@@ -200,79 +139,69 @@ def _parse_ids(s):
 
 _COMPARE = {">": operator.gt, ">=": operator.ge}
 
-# Every INI key once, in manifest order: (section, key, attribute, parser,
-# bound). A bound is a tuple of allowed values, a comparison such as ">= 0",
-# or None when only a rule in validate() that reads two keys applies. No
-# periodic source may fire more than 1,000 times per simulated second, so
+# Every INI key once, in manifest order: (section, key, attribute, default,
+# parser, bound). A bound is a tuple of allowed values, a comparison such as
+# ">= 0", or None when only a rule in validate() that reads two keys applies.
+# No periodic source may fire more than 1,000 times per simulated second, so
 # every period is at least 0.001 s (traffic rate and rotation in validate()).
 _KEYS = (
-    ("scenario", "protocol", "protocol", str, PROTOCOLS),
-    ("scenario", "security", "security_mode", str, SECURITY_MODES),
-    ("scenario", "nodes", "n", int, ">= 2"),
-    ("scenario", "duration", "duration", float, None),
-    ("scenario", "warmup", "warmup", float, ">= 0"),
-    ("scenario", "seed", "seed", int, None),
-    ("area", "width", "width", float, ">= 0"),    # 0 sizes the area from nodes
-    ("area", "height", "height", float, ">= 0"),
-    ("area", "scale", "area_scale", float, "> 0"),
-    ("area", "obstacles", "obstacles", _parse_obstacles, None),
-    ("radio", "radius", "radius", float, "> 0"),
-    ("radio", "bandwidth", "bandwidth_bps", float, "> 0"),
-    ("radio", "mac_overhead", "mac_overhead_bytes", int, ">= 0"),
-    ("radio", "processing_delay", "processing_delay", float, ">= 0"),
-    ("radio", "difs", "difs", float, ">= 0"),
-    ("radio", "slot", "slot_time", float, ">= 0"),
-    ("radio", "cw_min", "cw_min", int, ">= 1"),
-    ("radio", "retry_limit", "retry_limit", int, ">= 0"),
-    ("radio", "broadcast_jitter", "broadcast_jitter", float, ">= 0"),
-    ("radio", "hcreq_jitter", "hcreq_jitter", float, ">= 0"),
-    ("radio", "ideal_channel", "ideal_channel", _parse_bool, None),
-    ("mobility", "v_min", "v_min", float, ">= 0"),
-    ("mobility", "v_max", "v_max", float, ">= 0"),
-    ("mobility", "pause_max", "pause_max", float, ">= 0"),
-    ("mobility", "tick", "mobility_tick", float, ">= 0.001"),
-    ("traffic", "rate", "traffic_rate", float, ">= 0"),
-    ("traffic", "payload", "traffic_payload", int, "> 0"),
-    ("traffic", "rotation", "rotation_interval", float, ">= 0"),  # 0 never rotates
-    ("traffic", "start", "traffic_start", float, ">= 0"),
-    ("olsr", "hello_interval", "hello_interval", float, ">= 0.001"),
-    ("olsr", "tc_interval", "tc_interval", float, ">= 0.001"),
-    ("aodv", "node_traversal_time", "node_traversal_time", float, ">= 0"),
-    ("aodv", "net_diameter", "net_diameter", int, ">= 0"),
-    ("aodv", "route_lifetime", "route_lifetime", float, "> 0"),
-    ("aodv", "rreq_retries", "rreq_retries", int, ">= 0"),
-    ("aodv", "buffer_cap", "buffer_cap", int, ">= 0"),
-    ("aodv", "buffer_hold", "buffer_hold", float, ">= 0"),
-    ("aodv", "seen_lifetime", "seen_lifetime", float, "> 0"),
-    ("dsr", "cache_paths", "cache_paths", int, ">= 1"),
-    ("dsr", "cache_lifetime", "cache_lifetime", float, "> 0"),
-    ("cml", "nst", "nst", int, ">= 1"),
-    ("cml", "x", "x", int, ">= 0"),
-    ("cml", "t_osc", "t_osc", float, "> 0"),
-    ("cml", "k", "k", float, "> 0"),
-    ("security", "c_p", "c_p", float, "> 0"),
-    ("adversary", "behavior", "adversary.behavior", str, ATTACKS),
-    ("adversary", "nodes", "adversary.nodes", _parse_ids, None),
-    ("adversary", "period", "adversary.period", float, ">= 0.001"),
-    ("adversary", "target_phase", "adversary.target_phase", str,
+    ("scenario", "protocol", "protocol", "cml", str, PROTOCOLS),
+    ("scenario", "security", "security_mode", "none", str, SECURITY_MODES),
+    ("scenario", "nodes", "n", 20, int, ">= 2"),
+    ("scenario", "duration", "duration", 300.0, float, None),
+    ("scenario", "warmup", "warmup", 50.0, float, ">= 0"),
+    ("scenario", "seed", "seed", 1, int, None),
+    # a width or height of 0 sizes that side as area_scale * sqrt(n)
+    ("area", "width", "width", 0.0, float, ">= 0"),
+    ("area", "height", "height", 0.0, float, ">= 0"),
+    ("area", "scale", "area_scale", 190.0, float, "> 0"),
+    ("area", "obstacles", "obstacles", (), _parse_obstacles, None),
+    ("radio", "radius", "radius", 250.0, float, "> 0"),
+    ("radio", "bandwidth", "bandwidth_bps", 300_000.0, float, "> 0"),
+    ("radio", "mac_overhead", "mac_overhead_bytes", 38, int, ">= 0"),
+    ("radio", "processing_delay", "processing_delay", 0.0005, float, ">= 0"),
+    ("radio", "difs", "difs", 0.0002, float, ">= 0"),
+    ("radio", "slot", "slot_time", 0.0005, float, ">= 0"),
+    ("radio", "cw_min", "cw_min", 8, int, ">= 1"),
+    ("radio", "retry_limit", "retry_limit", 3, int, ">= 0"),
+    ("radio", "broadcast_jitter", "broadcast_jitter", 0.02, float, ">= 0"),
+    ("radio", "hcreq_jitter", "hcreq_jitter", 0.6, float, ">= 0"),
+    ("radio", "ideal_channel", "ideal_channel", False, _parse_bool, None),
+    ("mobility", "v_min", "v_min", 1.0, float, ">= 0"),
+    ("mobility", "v_max", "v_max", 2.0, float, ">= 0"),
+    ("mobility", "pause_max", "pause_max", 10.0, float, ">= 0"),
+    ("mobility", "tick", "mobility_tick", 0.5, float, ">= 0.001"),
+    ("traffic", "rate", "traffic_rate", 1.0, float, ">= 0"),
+    ("traffic", "payload", "traffic_payload", 512, int, "> 0"),
+    # re-draw each flow's destination every rotation s; 0 never re-draws
+    ("traffic", "rotation", "rotation_interval", 5.0, float, ">= 0"),
+    ("traffic", "start", "traffic_start", 5.0, float, ">= 0"),
+    ("olsr", "hello_interval", "hello_interval", 2.0, float, ">= 0.001"),
+    ("olsr", "tc_interval", "tc_interval", 5.0, float, ">= 0.001"),
+    ("aodv", "node_traversal_time", "node_traversal_time", 0.04, float, ">= 0"),
+    ("aodv", "net_diameter", "net_diameter", 35, int, ">= 0"),
+    ("aodv", "route_lifetime", "route_lifetime", 10.0, float, "> 0"),
+    ("aodv", "rreq_retries", "rreq_retries", 2, int, ">= 0"),
+    ("aodv", "buffer_cap", "buffer_cap", 64, int, ">= 0"),
+    # buffered data older than buffer_hold s is dropped, not sent
+    ("aodv", "buffer_hold", "buffer_hold", 0.2, float, ">= 0"),
+    ("aodv", "seen_lifetime", "seen_lifetime", 30.0, float, "> 0"),
+    ("dsr", "cache_paths", "cache_paths", 3, int, ">= 1"),
+    ("dsr", "cache_lifetime", "cache_lifetime", 30.0, float, "> 0"),
+    ("cml", "nst", "nst", 10, int, ">= 1"),
+    ("cml", "x", "x", 2, int, ">= 0"),
+    ("cml", "t_osc", "t_osc", 30.0, float, "> 0"),
+    ("cml", "k", "k", 0.65, float, "> 0"),
+    ("security", "c_p", "c_p", 450e6, float, "> 0"),
+    ("adversary", "behavior", "adversary_behavior", ATTACK_NONE, str, ATTACKS),
+    ("adversary", "nodes", "adversary_nodes", (), _parse_ids, None),
+    ("adversary", "period", "adversary_period", 20.0, float, ">= 0.001"),
+    ("adversary", "target_phase", "adversary_target_phase", "r-phase", str,
      ("p-phase", "r-phase")),
-    ("output", "trace", "trace", _parse_bool, None),
+    ("output", "trace", "trace", False, _parse_bool, None),
 )
-_ROWS = {(section, key): row for section, key, *row in _KEYS}
-_DEFAULTS = {name: getattr(ScenarioConfig, name)
-             for name in ScenarioConfig.__annotations__}
-
-
-def _owner(cfg, attr):
-    """The object that holds attr and the field name there: "adversary.period"
-    is cfg.adversary's period, any other attribute is cfg's own."""
-    head, _, name = attr.rpartition(".")
-    return (cfg.adversary if head else cfg), name
-
-
-def _values(cfg):
-    """Every _KEYS value of cfg, in _KEYS order."""
-    return tuple(getattr(*_owner(cfg, attr)) for _, _, attr, _, _ in _KEYS)
+_ROWS = {(section, key): (attr, parser) for section, key, attr, _, parser, _ in _KEYS}
+_DEFAULTS = {attr: default for _, _, attr, default, _, _ in _KEYS}
 
 
 def parse_config(text):
@@ -291,12 +220,12 @@ def parse_config(text):
         for key, raw in parser.items(section):
             if (section, key) not in _ROWS:
                 raise ConfigError(f"{section}.{key}: unknown key")
-            attr, conv, _ = _ROWS[section, key]
+            attr, conv = _ROWS[section, key]
             try:
                 value = conv(raw)
             except (ValueError, TypeError) as e:
                 raise ConfigError(f"{section}.{key}: {e}") from None
-            setattr(*_owner(cfg, attr), value)
+            setattr(cfg, attr, value)
     return cfg.validate()
 
 
@@ -308,8 +237,8 @@ def load_config(path):
 def dump_config(cfg):
     """Resolved configuration as INI text (the per-run manifest)."""
     sections = {}
-    for section, key, attr, _, _ in _KEYS:
-        value = getattr(*_owner(cfg, attr))
+    for section, key, attr, *_ in _KEYS:
+        value = getattr(cfg, attr)
         if attr == "obstacles":
             value = "; ".join(",".join(str(x) for x in ob) for ob in value)
         elif isinstance(value, tuple):

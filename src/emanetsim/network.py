@@ -217,7 +217,7 @@ class World:
         cost = self._crypto_costs.get(size)
         if cost is None:
             cost = self._crypto_costs[size] = sec.apply_security(
-                size, cfg.security_mode, cfg.device)
+                size, cfg.security_mode, cfg.c_p)
         delta, snd_delay, rcv_delay = cost
         wire_bytes = size + delta
         airtime = (wire_bytes + cfg.mac_overhead_bytes) * 8.0 / cfg.bandwidth_bps
@@ -404,33 +404,30 @@ class World:
     # ---- adversaries -------------------------------------------------------
 
     def _attach_adversaries(self):
-        adv = self.cfg.adversary
-        if adv.behavior == sec.ATTACK_NONE:
-            return
-        for i in adv.nodes:
-            self.nodes[i].adversary = adv.behavior
+        for i in self.cfg.adversary_nodes:
+            self.nodes[i].adversary = self.cfg.adversary_behavior
 
     def _start_adversaries(self):
-        adv = self.cfg.adversary
-        if adv.behavior == sec.ATTACK_FORGE_CP:
+        cfg = self.cfg
+        if cfg.adversary_behavior == sec.ATTACK_FORGE_CP:
             # one alternation of the demanded phase, shared by every forger
-            self._forge_target = adv.target_phase
-            for i in adv.nodes:
-                self.kernel.schedule(self.cfg.warmup * 0.5 + adv.period,
-                                     lambda n=i: self._forge_cp(n, adv),
-                                     "attack", i)
-        elif adv.behavior == sec.ATTACK_OSCILLATE:
-            self.kernel.schedule(adv.period, lambda: self._toggle_group(adv),
+            self._forge_target = cfg.adversary_target_phase
+            for i in cfg.adversary_nodes:
+                self.kernel.schedule(cfg.warmup * 0.5 + cfg.adversary_period,
+                                     lambda n=i: self._forge_cp(n), "attack", i)
+        elif cfg.adversary_behavior == sec.ATTACK_OSCILLATE:
+            self.kernel.schedule(cfg.adversary_period,
+                                 lambda: self._toggle_group(cfg.adversary_nodes),
                                  "attack")
 
-    def _forge_cp(self, node_id, adv):
+    def _forge_cp(self, node_id):
         self._forge_target = self.nodes[node_id].driver.forge_cp(self._forge_target)
         self.metrics.adversary_injected += 1
-        self.kernel.schedule_in(adv.period, lambda: self._forge_cp(node_id, adv),
-                                "attack", node_id)
+        self.kernel.schedule_in(self.cfg.adversary_period,
+                                lambda: self._forge_cp(node_id), "attack", node_id)
 
-    def _toggle_group(self, adv):
-        for i in adv.nodes:
+    def _toggle_group(self, ids):
+        for i in ids:
             node = self.nodes[i]
             node.active = not node.active
             if node.active:
@@ -440,8 +437,8 @@ class World:
                 node.queue.clear()
                 node.tx_busy_until = self.kernel.now
         self.refresh_links()
-        self.kernel.schedule_in(adv.period, lambda: self._toggle_group(adv),
-                                "attack")
+        self.kernel.schedule_in(self.cfg.adversary_period,
+                                lambda: self._toggle_group(ids), "attack")
 
     # ---- run ---------------------------------------------------------------
 

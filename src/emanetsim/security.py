@@ -28,31 +28,23 @@ AES128_DEC_CYCLES = 10992
 MD5_BLOCK_BITS = 512
 
 
-class DeviceProfile:
-    """Processing capability of the handheld device, instructions per second."""
-
-    def __init__(self, c_p=450e6):
-        if c_p <= 0:
-            raise ValueError("device instruction rate must be positive")
-        self.c_p = c_p
-
-
 def hmac_blocks(total_bytes):
     """Number of 512-bit blocks covered by the HMAC over a packet."""
     return max(1, math.ceil(total_bytes * 8 / MD5_BLOCK_BITS))
 
 
-def hmac_time(n_k, profile):
-    """Seconds to HMAC-MD5 n_k 512-bit blocks, evaluated literally as
-    (32 + 2 + 744*n_k) / c_p."""
+def hmac_time(n_k, c_p):
+    """Seconds to HMAC-MD5 n_k 512-bit blocks on a device of c_p
+    instructions per second, evaluated literally as (32 + 2 + 744*n_k) / c_p."""
     if n_k < 1:
         raise ValueError("block count must be >= 1")
-    return (HMAC_MD5_INIT_OPS + HMAC_MD5_EXTRA_OPS + HMAC_MD5_PER_BLOCK_OPS * n_k) / profile.c_p
+    return (HMAC_MD5_INIT_OPS + HMAC_MD5_EXTRA_OPS + HMAC_MD5_PER_BLOCK_OPS * n_k) / c_p
 
 
-def aes_times(profile):
-    """(encrypt, decrypt) seconds per packet for 128-bit AES."""
-    return AES128_ENC_CYCLES / profile.c_p, AES128_DEC_CYCLES / profile.c_p
+def aes_times(c_p):
+    """(encrypt, decrypt) seconds per packet for 128-bit AES at c_p
+    instructions per second."""
+    return AES128_ENC_CYCLES / c_p, AES128_DEC_CYCLES / c_p
 
 
 def space_overhead(mode):
@@ -68,8 +60,9 @@ def space_overhead(mode):
     raise ValueError(f"unknown security mode {mode!r}")
 
 
-def apply_security(payload_bytes, mode, profile):
-    """Per-hop cost triple (size_delta, sender_delay, receiver_delay).
+def apply_security(payload_bytes, mode, c_p):
+    """Per-hop cost triple (size_delta, sender_delay, receiver_delay) on a
+    device of c_p instructions per second.
 
     The HMAC covers the full packet after the security headers are added;
     costs are paid at every hop because integrity is verified hop by hop
@@ -81,11 +74,11 @@ def apply_security(payload_bytes, mode, profile):
     sender = 0.0
     receiver = 0.0
     if mode in (MODE_ESP, MODE_HYBRID):
-        t_enc, t_dec = aes_times(profile)
+        t_enc, t_dec = aes_times(c_p)
         sender += t_enc
         receiver += t_dec
     if mode in (MODE_AH, MODE_HYBRID):
-        auth = hmac_time(hmac_blocks(payload_bytes + delta), profile)
+        auth = hmac_time(hmac_blocks(payload_bytes + delta), c_p)
         sender += auth
         receiver += auth
     return delta, sender, receiver
@@ -103,6 +96,13 @@ def accept_packet(frame, mode):
     return frame.sec_valid and not frame.adversary_origin
 
 
+# Adversary behaviors, acted out by the nodes config.adversary_nodes lists:
+# forge-cp     : flood unauthenticated change-phase packets every period,
+#                alternating the demanded phase.
+# oscillate    : the group joins and departs the network every period.
+# tamper-hcreq : rewrite the ttl of relayed hop-count probes to zero,
+#                which clears their integrity validity.
+# drop-cp      : silently discard change-phase packets in transit.
 ATTACK_NONE = "none"
 ATTACK_FORGE_CP = "forge-cp"
 ATTACK_OSCILLATE = "oscillate"
@@ -110,22 +110,3 @@ ATTACK_TAMPER_HCREQ = "tamper-hcreq"
 ATTACK_DROP_CP = "drop-cp"
 ATTACKS = (ATTACK_NONE, ATTACK_FORGE_CP, ATTACK_OSCILLATE,
            ATTACK_TAMPER_HCREQ, ATTACK_DROP_CP)
-
-
-class AdversaryRole:
-    """Adversary behavior attached to designated nodes.
-
-    forge-cp     : flood unauthenticated change-phase packets every period,
-                   alternating the demanded phase.
-    oscillate    : the group joins and departs the network every period.
-    tamper-hcreq : rewrite the ttl of relayed hop-count probes to zero,
-                   which clears their integrity validity.
-    drop-cp      : silently discard change-phase packets in transit.
-    """
-
-    def __init__(self, behavior=ATTACK_NONE, nodes=(), period=20.0,
-                 target_phase="r-phase"):
-        self.behavior = behavior
-        self.nodes = nodes
-        self.period = period
-        self.target_phase = target_phase

@@ -8,15 +8,13 @@ from emanetsim.cml import confirmed_shift
 from emanetsim.config import ScenarioConfig, parse_config
 from emanetsim.network import World
 from emanetsim.runner import run_scenario, static_connected_world
-from emanetsim.security import AdversaryRole
 
 
 def attack_cfg(behavior, nodes, security="none", n=9, period=40.0, **kw):
     params = dict(protocol="cml", n=n, duration=200.0, warmup=40.0, seed=2,
                   traffic_rate=0.5, security_mode=security,
-                  adversary=AdversaryRole(behavior=behavior, nodes=nodes,
-                                          period=period,
-                                          target_phase="r-phase"))
+                  adversary_behavior=behavior, adversary_nodes=nodes,
+                  adversary_period=period, adversary_target_phase="r-phase")
     params.update(kw)
     return ScenarioConfig(**params).validate()
 
@@ -62,7 +60,7 @@ def test_forge_cp_leaves_the_config_alone(tmp_path):
     assert world.metrics.adversary_injected == 3
     assert cfg == before
     manifest = parse_config((tmp_path / "run" / "manifest.ini").read_text())
-    assert manifest.adversary.target_phase == "r-phase"
+    assert manifest.adversary_target_phase == "r-phase"
 
 
 def test_oscillating_group_within_tolerance_never_confirms():
@@ -104,8 +102,8 @@ def fast_oscillation_world(protocol, period):
     cfg = ScenarioConfig(
         protocol=protocol, n=8, duration=20.0, warmup=0.0, seed=1,
         v_min=0.0, v_max=0.0, traffic_rate=4.0,
-        adversary=AdversaryRole(behavior="oscillate", nodes=(0, 1, 2, 3),
-                                period=period)).validate()
+        adversary_behavior="oscillate", adversary_nodes=(0, 1, 2, 3),
+        adversary_period=period).validate()
     return World(cfg)
 
 
@@ -154,7 +152,7 @@ def test_tampered_probes_disrupt_unprotected_network():
 
     def probe_outcome(behavior):
         world = make_world(chain_positions(5), protocol="cml",
-                           adversary=AdversaryRole(behavior=behavior, nodes=(2,)))
+                           adversary_behavior=behavior, adversary_nodes=(2,))
         world.setup()
         for node in world.nodes:
             d = node.driver
@@ -179,7 +177,7 @@ def test_drop_cp_blocks_propagation_through_cut_vertex():
     # so node 2 never hears node 0's confirmed shift
     from conftest import chain_positions, make_world
     world = make_world(chain_positions(3), protocol="cml",
-                       adversary=AdversaryRole(behavior="drop-cp", nodes=(1,)))
+                       adversary_behavior="drop-cp", adversary_nodes=(1,))
     world.setup()
     world.kernel.run_until(20.0)
     world.nodes[0].driver._shift("r-phase", "test")

@@ -5,7 +5,6 @@ of its receivers in order, on both channels."""
 from collections import Counter, namedtuple
 from functools import partial
 from itertools import count
-from types import SimpleNamespace
 
 import pytest
 from conftest import chain_positions, force_r_phase, make_world
@@ -16,7 +15,6 @@ from emanetsim import packets as pk
 from emanetsim.cml import P_PHASE, R_PHASE
 from emanetsim.config import PROTOCOLS, ScenarioConfig
 from emanetsim.network import World
-from emanetsim.security import AdversaryRole
 
 # node 0 in the middle, nodes 1-4 around it, all in range of node 0
 STAR = [(250.0, 250.0), (150.0, 250.0), (350.0, 250.0), (250.0, 150.0), (250.0, 350.0)]
@@ -168,8 +166,9 @@ def test_handlers_leave_received_frames_unchanged(protocol, behavior, monkeypatc
     cfg = ScenarioConfig(
         protocol=protocol, n=20, duration=120.0, warmup=10.0, seed=1,
         traffic_rate=0.5,
-        adversary=AdversaryRole(behavior=behavior, nodes=() if behavior == "none" else (4,),
-                                period=20.0)).validate()
+        adversary_behavior=behavior,
+        adversary_nodes=() if behavior == "none" else (4,),
+        adversary_period=20.0).validate()
     World(cfg).run()
     assert seen[(True, False)] > 0
     if behavior == "forge-cp":
@@ -259,7 +258,8 @@ def test_contended_reception_matches_reference(positions, sends, span, off):
     random times (unicasts retried), with up to three nodes switched off and
     back on by the oscillate path, each transmission's rx event names exactly
     the receivers that reference_receivers gives."""
-    world = make_world(positions)
+    # a switched node's next toggle falls after the run
+    world = make_world(positions, adversary_period=1e6)
     kernel = world.kernel
     for node in world.nodes:
         node.driver = Recorder(node.id, [])
@@ -289,7 +289,7 @@ def test_contended_reception_matches_reference(positions, sends, span, off):
 
     def switch(v, back_on):
         switches.append((v, next(order)))
-        world._toggle_group(SimpleNamespace(nodes=(v,), period=1e6))
+        world._toggle_group((v,))
         if back_on:
             # its view of the air is stale: it may send over a frame on the air
             world.broadcast(world.nodes[v], pk.HELLO,

@@ -59,7 +59,16 @@ def test_attack_verb(tmp_path, capsys):
 
 
 def test_shipped_default_config_loads():
+    import configparser
+
     import emanetsim
-    from emanetsim.config import ScenarioConfig, load_config
+    from emanetsim.config import _KEYS, ScenarioConfig, load_config
     path = os.path.join(os.path.dirname(emanetsim.__file__), "data", "default.ini")
     assert load_config(path) == ScenarioConfig()
+    # the file lists every key, in _KEYS order
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";", "#"))
+    parser.read(path)
+    assert [(section, key) for section in parser.sections()
+            for key in parser.options(section)] == \
+        [(section, key) for section, key, *_ in _KEYS]

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from emanetsim.config import (_KEYS, PROTOCOLS, ConfigError, ScenarioConfig,
                               SweepSpec, dump_config, parse_config, parse_sizes)
+from emanetsim.network import World
 from emanetsim.runner import run_scenario
-from emanetsim.security import ATTACKS, SECURITY_MODES, AdversaryRole
+from emanetsim.security import ATTACKS, SECURITY_MODES
 
 
 def test_defaults_validate():
@@ -50,6 +51,8 @@ def test_obstacle_parsing():
     ("[cml]\nx = 10\n", "x"),          # x >= nst
     ("[cml]\nnst = 0\n", "nst"),
     ("[cml]\nk = 0\n", "k"),
+    ("[cml]\nk = 1e308\n", "k"),     # k * h^2 overflows the size estimate
+    ("[cml]\nk = 1e-320\n", "k"),    # (nst - x) / k overflows the probe ttl
     ("[radio]\nradius = 0\n", "radius"),
     ("[mobility]\nv_min = 5\nv_max = 2\n", "v_min"),
     ("[scenario]\nprotocol = ospf\n", "protocol"),
@@ -132,9 +135,9 @@ def test_unknown_section_rejected():
 def test_adversary_parsing():
     cfg = parse_config("[adversary]\nbehavior = forge-cp\nnodes = 3,4\n"
                        "period = 15\ntarget_phase = r-phase\n")
-    assert cfg.adversary.behavior == "forge-cp"
-    assert cfg.adversary.nodes == (3, 4)
-    assert cfg.adversary.period == 15.0
+    assert cfg.adversary_behavior == "forge-cp"
+    assert cfg.adversary_nodes == (3, 4)
+    assert cfg.adversary_period == 15.0
 
 
 def test_adversary_node_ids_bounded():
@@ -160,20 +163,22 @@ def _changed(value):
     return value + ("-" if isinstance(value, str) else 1)
 
 
-@pytest.mark.parametrize("attr", [attr for _, _, attr, _, _ in _KEYS])
+@pytest.mark.parametrize("attr", [
+    pytest.param(attr, id=f"adversary.{key}" if section == "adversary" else attr)
+    for section, key, attr, *_ in _KEYS])
 def test_configs_differing_in_one_key_compare_unequal(attr):
-    head, _, name = attr.rpartition(".")
-    value = getattr(AdversaryRole() if head else ScenarioConfig(), name)
-    if head:
-        other = ScenarioConfig(adversary=AdversaryRole(**{name: _changed(value)}))
-    else:
-        other = ScenarioConfig(**{name: _changed(value)})
+    other = ScenarioConfig(**{attr: _changed(getattr(ScenarioConfig(), attr))})
     assert ScenarioConfig() == ScenarioConfig()
     assert other != ScenarioConfig()
 
 
 def test_each_config_gets_its_own_adversary_role():
-    assert ScenarioConfig().adversary is not ScenarioConfig().adversary
+    cfg = ScenarioConfig()
+    other = cfg.replace(adversary_behavior="oscillate")
+    other.adversary_nodes = (1,)
+    assert (cfg.adversary_behavior, cfg.adversary_nodes) == ("none", ())
+    assert other == ScenarioConfig(adversary_behavior="oscillate",
+                                  adversary_nodes=(1,))
 
 
 def test_unknown_field_names_raise_type_error():
@@ -232,7 +237,7 @@ def _rejected(parser, bound):
 
 @pytest.mark.parametrize("section,key,parser,bound", [
     pytest.param(section, key, parser, bound, id=f"{section}.{key}")
-    for section, key, _, parser, bound in _KEYS
+    for section, key, _, _, parser, bound in _KEYS
     if bound is not None or parser is float])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -266,10 +271,10 @@ def _ordinary_configs(draw):
         traffic_start=draw(st.floats(0.0, 5.0)), k=draw(st.floats(0.1, 2.0)),
         mobility_tick=draw(st.floats(0.1, 1.0)),
         hello_interval=draw(st.floats(0.5, 5.0)),
-        adversary=AdversaryRole(behavior=behavior, nodes=nodes,
-                                period=draw(st.floats(1.0, 20.0)),
-                                target_phase=draw(st.sampled_from(
-                                    ("p-phase", "r-phase"))))).validate()
+        adversary_behavior=behavior, adversary_nodes=nodes,
+        adversary_period=draw(st.floats(1.0, 20.0)),
+        adversary_target_phase=draw(st.sampled_from(("p-phase", "r-phase")))
+    ).validate()
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,3 +285,44 @@ def test_valid_configs_round_trip_and_rerun_identically(cfg):
     again, world_again = run_scenario(cfg)
     assert first.csv_row() == again.csv_row()
     assert world.transitions == world_again.transitions
+
+
+# Events a 5-node, 5 s run may dispatch at the accepted edge of one key.
+EDGE_EVENT_BUDGET = 400_000
+
+
+def _accepted_edge(parser, bound):
+    """The value nearest a comparison bound that the bound accepts: the limit
+    itself when inclusive, the next int or float above it when strict."""
+    op, limit = bound.split()
+    if parser is int:
+        return int(limit) + (op == ">")
+    return float(limit) if op == ">=" else math.nextafter(float(limit), math.inf)
+
+
+@pytest.mark.parametrize("attr,value", [
+    pytest.param(attr, _accepted_edge(parser, bound), id=f"{section}.{key}")
+    for section, key, attr, _, parser, bound in _KEYS
+    if isinstance(bound, str)])
+@pytest.mark.parametrize("ideal", [False, True], ids=["contended", "ideal"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_accepted_edge_values_are_rejected_or_run_to_the_end(protocol, ideal,
+                                                              attr, value):
+    fields = dict(protocol=protocol, ideal_channel=ideal, n=5, duration=5.0,
+                  warmup=0.0)
+    fields[attr] = value
+    try:
+        cfg = ScenarioConfig(**fields).validate()
+    except ConfigError:
+        return
+    events = 0
+
+    def count_event(line):
+        nonlocal events
+        events += 1
+        if events > EDGE_EVENT_BUDGET:
+            raise RuntimeError(f"{attr}={value!r}: over {EDGE_EVENT_BUDGET} events")
+
+    world = World(cfg, trace=count_event)
+    world.run()
+    assert world.kernel.now == cfg.duration

@@ -16,7 +16,6 @@ import pytest
 
 from emanetsim.config import PROTOCOLS, ScenarioConfig, SweepSpec
 from emanetsim.runner import run_scenario, run_sweep
-from emanetsim.security import AdversaryRole
 
 BASE = dict(duration=60.0, warmup=10.0, seed=1)
 
@@ -34,11 +33,12 @@ CELLS["cml-n20-ideal-hybrid"] = dict(
     rotation_interval=10.0, trace=True)
 CELLS["cml-n20-forge-cp"] = dict(
     protocol="cml", n=20,
-    adversary=AdversaryRole(behavior="forge-cp", nodes=(19,), period=20.0))
+    adversary_behavior="forge-cp", adversary_nodes=(19,), adversary_period=20.0)
 # the only cell that switches nodes off and back on during a run
 CELLS["cml-n20-oscillate"] = dict(
     protocol="cml", n=20,
-    adversary=AdversaryRole(behavior="oscillate", nodes=(18, 19), period=20.0))
+    adversary_behavior="oscillate", adversary_nodes=(18, 19),
+    adversary_period=20.0)
 
 # cell -> (sha256 of summary.csv, sha256 of transitions.log[, sha256 of
 # trace.log when the cell traces])

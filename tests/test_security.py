@@ -8,35 +8,31 @@ from emanetsim.config import ScenarioConfig
 from emanetsim.network import World
 
 
-def profile(mips=450e6):
-    return sec.DeviceProfile(mips)
-
-
 def test_hmac_time_literal_formula():
     # one 512-bit block at 450 MIPS: (32 + 2 + 744) / 450e6 exactly
-    assert sec.hmac_time(1, profile()) == 778 / 450e6
-    assert sec.hmac_time(2, profile()) == 1522 / 450e6
+    assert sec.hmac_time(1, 450e6) == 778 / 450e6
+    assert sec.hmac_time(2, 450e6) == 1522 / 450e6
 
 
 def test_hmac_time_scales_inverse_with_speed():
     for n_k in (1, 3, 9):
-        assert sec.hmac_time(n_k, profile(900e6)) == pytest.approx(
-            sec.hmac_time(n_k, profile(450e6)) / 2.0)
+        assert sec.hmac_time(n_k, 900e6) == pytest.approx(
+            sec.hmac_time(n_k, 450e6) / 2.0)
 
 
 def test_hmac_time_rejects_zero_blocks():
     with pytest.raises(ValueError):
-        sec.hmac_time(0, profile())
+        sec.hmac_time(0, 450e6)
 
 
 def test_aes_times_match_reported_values():
-    t_enc, t_dec = sec.aes_times(profile())
+    t_enc, t_dec = sec.aes_times(450e6)
     # 13.7 and 24.4 microseconds per packet at 450 MIPS
     assert t_enc == 6168 / 450e6
     assert t_dec == 10992 / 450e6
     assert abs(t_enc - 13.7e-6) < 0.1e-6
     assert abs(t_dec - 24.4e-6) < 0.1e-6
-    assert sec.aes_times(profile(900e6))[0] == pytest.approx(t_enc / 2)
+    assert sec.aes_times(900e6)[0] == pytest.approx(t_enc / 2)
 
 
 def test_space_overhead_table():
@@ -56,28 +52,28 @@ def test_hmac_blocks_rounding():
 
 
 def test_apply_security_none_is_free():
-    assert sec.apply_security(512, "none", profile()) == (0, 0.0, 0.0)
+    assert sec.apply_security(512, "none", 450e6) == (0, 0.0, 0.0)
 
 
 def test_apply_security_hybrid_composition():
-    delta, snd, rcv = sec.apply_security(512, "hybrid", profile())
+    delta, snd, rcv = sec.apply_security(512, "hybrid", 450e6)
     assert delta == 34
-    auth = sec.hmac_time(sec.hmac_blocks(546), profile())
-    t_enc, t_dec = sec.aes_times(profile())
+    auth = sec.hmac_time(sec.hmac_blocks(546), 450e6)
+    t_enc, t_dec = sec.aes_times(450e6)
     assert snd == pytest.approx(t_enc + auth, abs=0)
     assert rcv == pytest.approx(t_dec + auth, abs=0)
 
 
 def test_apply_security_ah_only_no_cipher_terms():
-    delta, snd, rcv = sec.apply_security(64, "ah-only", profile())
+    delta, snd, rcv = sec.apply_security(64, "ah-only", 450e6)
     assert delta == 24
-    auth = sec.hmac_time(sec.hmac_blocks(88), profile())
+    auth = sec.hmac_time(sec.hmac_blocks(88), 450e6)
     assert snd == auth and rcv == auth
 
 
 def test_apply_security_esp_only():
-    delta, snd, rcv = sec.apply_security(256, "esp-only", profile())
-    t_enc, t_dec = sec.aes_times(profile())
+    delta, snd, rcv = sec.apply_security(256, "esp-only", 450e6)
+    t_enc, t_dec = sec.aes_times(450e6)
     assert (delta, snd, rcv) == (10, t_enc, t_dec)
 
 
@@ -117,12 +113,7 @@ def test_world_crypto_cost_cache_matches_apply_security(mode):
     assert len(sizes) > 3
     assert set(world._crypto_costs) == sizes
     for size, cost in world._crypto_costs.items():
-        assert cost == sec.apply_security(size, mode, cfg.device)
-
-
-def test_device_profile_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        sec.DeviceProfile(0.0)
+        assert cost == sec.apply_security(size, mode, cfg.c_p)
 
 
 def test_ah_gap_identity_at_default_payload():
