@@ -229,8 +229,15 @@ class CmlNode:
     # -- frame dispatch -------------------------------------------------------------
 
     def on_frame(self, frame, prev_hop):
+        # RREQ and RREP, the most frequent kinds, are tested first
         kind = frame.kind
-        if kind == pk.CP:
+        if kind == pk.RREQ:
+            if not self.olsr.enabled:
+                self.aodv.process_rreq(frame, prev_hop)
+        elif kind == pk.RREP:
+            if not self.olsr.enabled:
+                self.aodv.process_rrep(frame, prev_hop)
+        elif kind == pk.CP:
             self.process_cp(frame)
         elif kind == pk.HCREQ:
             self.process_hcreq(frame, prev_hop)
@@ -239,9 +246,6 @@ class CmlNode:
         elif kind in (pk.HELLO, pk.TC):
             if self.olsr.enabled:
                 self.olsr.on_frame(frame, prev_hop)
-        elif kind in (pk.RREQ, pk.RREP):
-            if not self.olsr.enabled:
-                self.aodv.on_frame(frame, prev_hop)
 
     def send_data(self, msg):
         engine = self.olsr if self.stable_phase == P_PHASE else self.aodv

@@ -59,9 +59,9 @@ class ScenarioConfig:
     # -- validation -------------------------------------------------------------
 
     def validate(self):
-        """Check every key against its _KEYS bound (every float must be
-        finite), then the rules that read two keys or that one comparison
-        cannot state."""
+        """Check every key against its _KEYS bound (every number must be
+        finite as a float), then the rules that read two keys or that one
+        comparison cannot state."""
         def need(cond, key, constraint):
             if not cond:
                 raise ConfigError(f"{key}: {constraint}")
@@ -69,8 +69,11 @@ class ScenarioConfig:
         for section, key, attr, _, _, bound in _KEYS:
             value = getattr(self, attr)
             name = f"adversary.{key}" if section == "adversary" else key
-            need(not isinstance(value, float) or math.isfinite(value), name,
-                 "must be finite")
+            try:
+                finite = not isinstance(value, (int, float)) or math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            need(finite, name, "must be finite")
             if isinstance(bound, tuple):
                 need(value in bound, name, f"must be one of {bound}")
             elif bound:
@@ -83,14 +86,10 @@ class ScenarioConfig:
         need(self.v_min <= self.v_max, "v_min", "must not exceed v_max")
         need(self.x < self.nst, "x", "must be < nst")
         # CML turns k into a probe ttl, ceil(sqrt((nst - x) / k)), and a hop
-        # count h < nodes into a size estimate, round(k * h^2); an int too
-        # large for a float overflows here as it would there
-        try:
-            k_fits = (math.isfinite((self.nst - self.x) / self.k)
-                      and math.isfinite(self.k * self.n * self.n))
-        except OverflowError:
-            k_fits = False
-        need(k_fits, "k", "must keep (nst - x) / k and k * nodes^2 finite")
+        # count h < nodes into a size estimate, round(k * h^2)
+        k = float(self.k)  # every number fits a float by now
+        need(math.isfinite((self.nst - self.x) / k) and math.isfinite(k * self.n * self.n),
+             "k", "must keep (nst - x) / k and k * nodes^2 finite")
         behavior, nodes = self.adversary_behavior, self.adversary_nodes
         need(behavior in (ATTACK_NONE, ATTACK_OSCILLATE) or self.protocol == "cml",
              "adversary.behavior", f"{behavior} needs protocol cml")

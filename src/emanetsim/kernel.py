@@ -95,6 +95,9 @@ class RandomStream(random.Random):
     jitters are drawn in frame arrival order, so anything that moves
     arrivals at a node, such as another security mode, re-assigns them.
 
+    `below(n)` is the draw `randrange(n)` makes, without its argument checks:
+    n must be a positive int.
+
     Streams do not unpickle, since Random rebuilds its class without a
     seed; worker processes receive configs, never streams.
     """
@@ -102,6 +105,8 @@ class RandomStream(random.Random):
     def __init__(self, seed):
         self._path = str(seed)
         super().__init__(self._path)
+
+    below = random.Random._randbelow_with_getrandbits
 
     def fork(self, label):
         return RandomStream(f"{self._path}/{label}")

@@ -63,11 +63,15 @@ class _QueuedTx:
 
 class Node:
     """Per-node runtime state: kinematics, radio bookkeeping, protocol driver."""
+    __slots__ = ("id", "kin", "streams", "mac", "active", "adversary", "driver",
+                 "queue", "tx_busy_until", "air_busy_until", "last_collision",
+                 "pump_scheduled", "pump_event")
 
     def __init__(self, node_id, kin, streams):
         self.id = node_id
         self.kin = kin
         self.streams = streams
+        self.mac = streams["mac"]     # the backoff stream, read on every deferral
         self.active = True
         self.adversary = sec.ATTACK_NONE
         self.driver = None
@@ -104,12 +108,14 @@ class World:
                 "mac": self.root_stream.fork(f"node{i}/mac"),
             }
             node = Node(i, kin, streams)
-            node.pump_event = partial(self._pump_event, node)
+            node.pump_event = partial(self._pump, node, True)
             self.mobility.init_node(kin, streams["mob"])
             self.nodes.append(node)
 
         self._neighbors = {}
         self.refresh_links()
+        # node id -> its decimal string, for the rx events' trace details
+        self._id_strs = [str(i) for i in range(cfg.n)]
 
         # message size -> apply_security's cost triple in this run's mode
         self._crypto_costs = {}
@@ -146,27 +152,21 @@ class World:
     # ---- radio ----------------------------------------------------------
 
     def broadcast(self, node, kind, msg, sec_valid=True, adversary_origin=False):
-        self._enqueue(node, pk.Frame(kind=kind, msg=msg, sender=node.id,
-                                     receiver=None,
-                                     sec_valid=sec_valid,
-                                     adversary_origin=adversary_origin))
+        self._enqueue(node, pk.Frame(kind, msg, node.id, None, sec_valid,
+                                     adversary_origin))
 
     def unicast(self, node, receiver, kind, msg):
-        self._enqueue(node, pk.Frame(kind=kind, msg=msg, sender=node.id,
-                                     receiver=receiver))
-
-    def relay(self, node, frame):
-        self._enqueue(node, frame)
+        self._enqueue(node, pk.Frame(kind, msg, node.id, receiver))
 
     def relay_after_jitter(self, node, frame, detail, max_jitter=None):
         """Relay a flooded frame after a jitter drawn uniformly from
         [0, max_jitter) on the node's proto stream; max_jitter defaults to
-        broadcast_jitter."""
+        broadcast_jitter. m * random() is the value uniform(0.0, m) draws."""
         if max_jitter is None:
             max_jitter = self.cfg.broadcast_jitter
-        jitter = node.streams["proto"].uniform(0.0, max_jitter)
-        self.kernel.schedule_in(jitter, lambda: self.relay(node, frame),
-                                "relay", node.id, detail)
+        kernel = self.kernel
+        kernel.schedule(kernel.now + max_jitter * node.streams["proto"].random(),
+                        partial(self.relay, node, frame), "relay", node.id, detail)
 
     def _enqueue(self, node, frame):
         if not node.active:
@@ -177,27 +177,29 @@ class World:
         node.queue.append(_QueuedTx(frame, self.kernel.now))
         self._pump(node)
 
+    relay = _enqueue  # a flooded frame is queued like any other
+
     def _schedule_pump(self, node, at):
         if not node.pump_scheduled:
             node.pump_scheduled = True
             self.kernel.schedule(at, node.pump_event, "pump", node.id)
 
-    def _pump_event(self, node):
-        node.pump_scheduled = False
-        self._pump(node)
-
-    def _pump(self, node):
+    def _pump(self, node, event=False):
+        """Serve the head of node's queue. event is True when this is the
+        node's pump event, which _schedule_pump then no longer holds."""
+        if event:
+            node.pump_scheduled = False
         if not node.queue or not node.active:
             return
         now = self.kernel.now
-        cfg = self.cfg
         item = node.queue[0]
         if item.not_before > now or node.tx_busy_until > now:
             self._schedule_pump(node, max(item.not_before, node.tx_busy_until))
             return
         if node.air_busy_until > now:
             # medium busy: defer to its end plus a random contention backoff
-            backoff = cfg.slot_time * node.streams["mac"].randrange(cfg.cw_min)
+            cfg = self.cfg
+            backoff = cfg.slot_time * node.mac.below(cfg.cw_min)
             self._schedule_pump(node, node.air_busy_until + backoff)
             return
         self._transmit(node, item.frame, item)
@@ -246,9 +248,7 @@ class World:
 
         end = now + (snd_delay + cfg.difs + airtime)
         node.tx_busy_until = end
-        nodes = self.nodes
-        for v_id in audible:
-            v = nodes[v_id]
+        for v in map(self.nodes.__getitem__, audible):
             busy_until = v.air_busy_until
             if busy_until > now:
                 v.last_collision = now
@@ -275,8 +275,7 @@ class World:
         unicast_failed = frame.receiver is not None and not ok_receivers
         if unicast_failed and item.attempt < cfg.retry_limit:
             item.attempt += 1
-            backoff = cfg.slot_time * node.streams["mac"].randrange(
-                cfg.cw_min << item.attempt)
+            backoff = cfg.slot_time * node.mac.below(cfg.cw_min << item.attempt)
             item.not_before = now + backoff
             self._schedule_pump(node, item.not_before)
             return
@@ -303,7 +302,8 @@ class World:
         kernel = self.kernel
         detail = frame.kind
         if kernel.trace is not None:
-            detail = f"{detail}>{','.join(map(str, v_ids))}"
+            ids = self._id_strs
+            detail = f"{detail}>{','.join([ids[v] for v in v_ids])}"
         kernel.schedule(air_end + self.cfg.processing_delay + rcv_delay,
                         partial(self._receive, v_ids, frame, rcv_delay),
                         "rx", frame.sender, detail)

@@ -13,6 +13,7 @@ MODE_AH = "ah-only"
 MODE_ESP = "esp-only"
 MODE_HYBRID = "hybrid"
 SECURITY_MODES = (MODE_NONE, MODE_AH, MODE_ESP, MODE_HYBRID)
+AH_MODES = (MODE_AH, MODE_HYBRID)  # the modes with AH, and so with the gate
 
 AH_SPACE_BYTES = 24
 ESP_SPACE_BYTES = 10
@@ -77,7 +78,7 @@ def apply_security(payload_bytes, mode, c_p):
         t_enc, t_dec = aes_times(c_p)
         sender += t_enc
         receiver += t_dec
-    if mode in (MODE_AH, MODE_HYBRID):
+    if mode in AH_MODES:
         auth = hmac_time(hmac_blocks(payload_bytes + delta), c_p)
         sender += auth
         receiver += auth
@@ -86,12 +87,12 @@ def apply_security(payload_bytes, mode, c_p):
 
 def authenticates(mode):
     """True when the mode carries an authentication gate (AH present)."""
-    return mode in (MODE_AH, MODE_HYBRID)
+    return mode in AH_MODES
 
 
 def accept_packet(frame, mode):
     """Authentication gate: under AH, forged or tampered packets are rejected."""
-    if not authenticates(mode):
+    if mode not in AH_MODES:
         return True
     return frame.sec_valid and not frame.adversary_origin
 

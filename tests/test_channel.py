@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from emanetsim import packets as pk
 from emanetsim.cml import P_PHASE, R_PHASE
 from emanetsim.config import PROTOCOLS, ScenarioConfig
+from emanetsim.kernel import EventKernel
 from emanetsim.network import World
 
 # node 0 in the middle, nodes 1-4 around it, all in range of node 0
@@ -175,6 +176,30 @@ def test_handlers_leave_received_frames_unchanged(protocol, behavior, monkeypatc
         assert seen[(True, True)] > 0
     if behavior == "tamper-hcreq":
         assert seen[(False, False)] > 0
+
+
+@pytest.mark.parametrize("behavior", ["none", "oscillate"])
+@pytest.mark.parametrize("ideal", [True, False])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_event_goes_through_schedule(protocol, ideal, behavior, monkeypatch):
+    """Every event enters the queue through EventKernel.schedule, the one
+    method perfbench's per-layer trace wraps to time each handler: a counter
+    on the class method equals the kernel's own count."""
+    schedule, calls = EventKernel.schedule, Counter()
+
+    def counted(kernel, *args):
+        calls[kernel] += 1
+        return schedule(kernel, *args)
+
+    monkeypatch.setattr(EventKernel, "schedule", counted)
+    cfg = ScenarioConfig(protocol=protocol, n=15, duration=40.0, warmup=5.0,
+                         seed=1, ideal_channel=ideal, adversary_behavior=behavior,
+                         adversary_nodes=() if behavior == "none" else (2, 7),
+                         adversary_period=5.0).validate()
+    world = World(cfg)
+    world.run()
+    assert world.kernel.dispatched > 0
+    assert calls == {world.kernel: world.kernel.scheduled}
 
 
 @pytest.mark.parametrize("ideal", [True, False])

@@ -250,6 +250,19 @@ def test_out_of_bound_values_are_rejected_by_key(section, key, parser, bound,
     assert str(err.value).startswith(f"{name}: ")
 
 
+@pytest.mark.parametrize("value", [10**400, -10**400])
+@pytest.mark.parametrize("section,key", [
+    pytest.param(section, key, id=f"{section}.{key}")
+    for section, key, _, _, parser, _ in _KEYS if parser is int])
+def test_ints_too_large_for_a_float_are_rejected_by_key(section, key, value):
+    """The run turns int keys into floats (mac_overhead into airtime, nodes
+    into CML's size estimate), so an int no float can hold is rejected."""
+    name = f"adversary.{key}" if section == "adversary" else key
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[{section}]\n{key} = {value}\n")
+    assert str(err.value).startswith(f"{name}: ")
+
+
 @st.composite
 def _ordinary_configs(draw):
     """Valid configs on 2-8 nodes and at most 20 simulated seconds, with

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from emanetsim.config import ScenarioConfig
 from emanetsim.kernel import EventKernel, RandomStream, SchedulingError
 
 
@@ -102,6 +103,22 @@ def test_no_event_loss_accounting():
     assert k.pending == 0
 
 
+def test_dispatched_is_exact_after_a_handler_raises():
+    k = EventKernel()
+
+    def fail():
+        raise RuntimeError("handler failed")
+
+    k.schedule(1.0, lambda: None)
+    k.schedule(2.0, fail)
+    k.schedule(3.0, lambda: None)
+    with pytest.raises(RuntimeError):
+        k.run_until(5.0)
+    assert (k.dispatched, k.pending, k.now) == (2, 1, 2.0)
+    assert k.run_until(5.0) == 1
+    assert (k.scheduled, k.dispatched, k.pending) == (3, 3, 0)
+
+
 def test_trace_lines_sorted_by_time():
     lines = []
     k = EventKernel(trace=lines.append)
@@ -186,3 +203,27 @@ def test_random_stream_forks_are_independent():
 def test_random_stream_distinct_labels_differ():
     root = RandomStream(3)
     assert root.fork("a").random() != root.fork("b").random()
+
+
+def test_below_draws_what_randrange_draws():
+    """The MAC draws its backoffs with below(n), the function randrange(n)
+    calls after its argument checks: twin streams give the same values for
+    every window a backoff can use, up to cw_min << retry_limit."""
+    cfg = ScenarioConfig()
+    a, b = RandomStream(5), RandomStream(5)
+    for n in range(1, (cfg.cw_min << cfg.retry_limit) + 1):
+        assert [a.below(n) for _ in range(1000)] == \
+            [b.randrange(n) for _ in range(1000)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.floats(min_value=0.0, allow_infinity=False))
+@example(m=0.0)
+@example(m=ScenarioConfig().broadcast_jitter)
+@example(m=ScenarioConfig().hcreq_jitter)
+def test_relay_jitter_draw_is_uniform(m):
+    """A relay's jitter m * random() is bit for bit the value
+    uniform(0.0, m) draws."""
+    a, b = RandomStream(9), RandomStream(9)
+    assert [(m * a.random()).hex() for _ in range(1000)] == \
+        [b.uniform(0.0, m).hex() for _ in range(1000)]
