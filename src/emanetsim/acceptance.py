@@ -544,7 +544,7 @@ def _aodv_oracle_cell(cfg):
     dist = hop_distances(world.neighbors, 0)
     mismatches = 0
     for i, dst in enumerate(sorted(dist)[1:]):
-        msg = pk.DataMsg(flow_id=(i, 0), seq=0, src=0, dst=dst,
+        msg = pk.DataMsg(flow_id=(i, 0), seq=0, dst=dst,
                          payload=32, send_time=world.kernel.now)
         world.nodes[0].driver.send_data(msg)
         world.kernel.run_until(world.kernel.now + 3.0)

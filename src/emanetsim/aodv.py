@@ -33,16 +33,34 @@ def net_traversal_time(cfg):
     return 2.0 * cfg.node_traversal_time * cfg.net_diameter
 
 
-# An expiring duplicate table is rebuilt from its live entries once it holds
-# more than twice the live count of its last rebuild plus this many: its size
-# stays proportional to its live entries at O(1) amortised cost per insertion.
-# Expired entries already read as absent, so purging changes no output.
+# An ExpiringTable is rebuilt from its live entries once it holds more than
+# twice the live count of its last rebuild plus this many: its size stays
+# proportional to its live entries at O(1) amortised cost per insertion.
+# Expired entries already read as absent, so a rebuild changes no output.
 PURGE_SLACK = 64
 
 
-def next_purge(live):
-    """The length past which a table just rebuilt from live gets rebuilt next."""
-    return 2 * len(live) + PURGE_SLACK
+class ExpiringTable(dict):
+    """key -> (value, expiry time). An entry whose expiry has passed reads
+    as absent, and put() rebuilds the table once it outgrows cap."""
+
+    cap = PURGE_SLACK
+
+    def live(self, key, now):
+        """key's value, or None when it has none or its entry expired."""
+        entry = self.get(key)
+        return entry[0] if entry is not None and entry[1] > now else None
+
+    def put(self, key, value, expiry, now):
+        self[key] = (value, expiry)
+        if len(self) > self.cap:
+            self.rebuild(now)
+
+    def rebuild(self, now):
+        live = [(k, e) for k, e in self.items() if e[1] > now]
+        self.clear()
+        self.update(live)
+        self.cap = 2 * len(live) + PURGE_SLACK
 
 
 class _Request:
@@ -62,7 +80,7 @@ class Discovery:
     up to rreq_retries times, and then the buffered data is dropped.
 
     It also keeps the duplicate table (RFC 3561 6.5): (origin, rreq_id) ->
-    the time until which further copies of that request are ignored.
+    (True, the time until which further copies of that request are ignored).
 
     flood(dest, rreq_id) is the engine's own part: it broadcasts its request
     message.
@@ -75,8 +93,7 @@ class Discovery:
         self.detail = detail  # the timer events' trace detail
         self.rreq_counter = 0
         self.pending = {}  # dest -> _Request
-        self.seen = {}
-        self._seen_cap = PURGE_SLACK
+        self.seen = ExpiringTable()
 
     def buffer(self, msg):
         """Hold msg until a route to msg.dst is found, starting a discovery
@@ -97,13 +114,14 @@ class Discovery:
         never extends that window."""
         now = self.world.kernel.now
         key = (origin, rreq_id)
-        seen_until = self.seen.get(key)
-        if seen_until is not None and seen_until > now:
+        seen = self.seen
+        entry = seen.get(key)
+        if entry is not None and entry[1] > now:
             return False
-        self.seen[key] = now + self.world.cfg.seen_lifetime
-        if len(self.seen) > self._seen_cap:
-            self.seen = {k: t for k, t in self.seen.items() if t > now}
-            self._seen_cap = next_purge(self.seen)
+        # ExpiringTable.put inlined: this runs once per request copy heard
+        seen[key] = (True, now + self.world.cfg.seen_lifetime)
+        if len(seen) > seen.cap:
+            seen.rebuild(now)
         return True
 
     def _flood(self, dest, req):
@@ -160,9 +178,6 @@ class AodvNode:
     def reset(self):
         self.discovery.reset()
         self.routes.clear()
-
-    def net_traversal_time(self):
-        return net_traversal_time(self.cfg)
 
     # -- routing table ------------------------------------------------------
 

@@ -28,6 +28,12 @@ def base_config(args):
     return cfg.validate()
 
 
+def seed_range(n):
+    if n < 1:
+        raise ConfigError(f"seeds: need at least 1, got {n}")
+    return tuple(range(1, n + 1))
+
+
 def cmd_run(args):
     cfg = base_config(args)
     summary, world = run_scenario(cfg, out_dir=args.out)
@@ -45,7 +51,7 @@ def cmd_sweep(args):
     spec = SweepSpec(
         base=cfg,
         sizes=parse_sizes(args.sizes),
-        seeds=tuple(range(1, args.seeds + 1)),
+        seeds=seed_range(args.seeds),
         protocols=tuple(args.protocols.split(",")),
         security_modes=tuple(args.security.split(",")),
     )
@@ -58,8 +64,7 @@ def cmd_sweep(args):
 def cmd_calibrate(args):
     cfg = base_config(args)
     sizes = parse_sizes(args.sizes)
-    k, samples = calibrate_k(sizes=sizes, seeds=tuple(range(1, args.seeds + 1)),
-                             base=cfg)
+    k, samples = calibrate_k(sizes=sizes, seeds=seed_range(args.seeds), base=cfg)
     print(f"k = {k:.4f} over {len(samples)} static topologies")
     for n in sizes:
         hs = [h for m, h in samples if m == n]

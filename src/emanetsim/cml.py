@@ -16,7 +16,8 @@ import math
 
 from . import packets as pk
 from . import security as sec
-from .aodv import PURGE_SLACK, AodvNode, estimate_size_from_hops, next_purge
+from .aodv import (AodvNode, ExpiringTable, estimate_size_from_hops,
+                   net_traversal_time)
 from .olsr import OlsrNode
 
 P_PHASE = "p-phase"
@@ -29,22 +30,6 @@ STABLE = (P_PHASE, R_PHASE)
 def confirmed_shift(record):
     """True when a transition record moves a node between the stable phases."""
     return record.frm in STABLE and record.to in STABLE and record.frm != record.to
-
-
-class _ExpiringTable(dict):
-    """key -> (value, expiry time). Readers take an entry whose expiry has
-    passed as absent, and the table is rebuilt from its live entries by the
-    rule of Discovery.seen (aodv.next_purge)."""
-
-    cap = PURGE_SLACK
-
-    def put(self, key, value, expiry, now):
-        self[key] = (value, expiry)
-        if len(self) > self.cap:
-            live = [(k, e) for k, e in self.items() if e[1] > now]
-            self.clear()
-            self.update(live)
-            self.cap = next_purge(self)
 
 
 def derive_nht(nst_effective, k):
@@ -72,23 +57,25 @@ class CmlNode:
         self.cp_seq = 0
         self._cp_seen = {}
         # (origin, probe_id) -> (highest ttl processed, expiry time)
-        self._hcreq_seen = _ExpiringTable()
+        self._hcreq_seen = ExpiringTable()
         self._probe_counter = 0
         # echo probe id -> ((parent origin, parent probe id), expiry time)
-        self._echoes = _ExpiringTable()
+        self._echoes = ExpiringTable()
         # (origin, probe_id) -> (replies already forwarded on, expiry time); a
         # small cap keeps redundancy against reply loss without relaying
         # every duplicate
-        self._hcrep_forwarded = _ExpiringTable()
+        self._hcrep_forwarded = ExpiringTable()
         # hearing someone else's probe defers own o-phase entry: a concurrent
         # prober will flood a change-phase packet if the network is small
         self._foreign_probe_until = -1.0
-        # o-phase bookkeeping
+        # o-phase bookkeeping: the one pending o-phase timer (the toward-r
+        # deadline or the open probe's window), the open probe's id, whether
+        # it got a reply, and whether an earlier window got none
         self._tc_checks_left = 0
-        self._o_deadline = None
-        # the open probe: {"id", "window", "heard": it got a reply,
-        # "silent": an earlier window got none}
-        self._probe = None
+        self._o_timer = None
+        self._probe_id = None
+        self._probe_heard = False
+        self._probe_silent = False
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -119,7 +106,7 @@ class CmlNode:
         if count > self.cfg.nst and not self.timer_active():
             self.phase = O_TOWARD_R
             self._tc_checks_left = 2
-            self._o_deadline = self.world.kernel.schedule_in(
+            self._o_timer = self.world.kernel.schedule_in(
                 3.0 * self.cfg.tc_interval, self._o_r_timeout,
                 "timer", self.node.id, "o-deadline")
             self.world.log_transition(self.node.id, P_PHASE, O_TOWARD_R,
@@ -147,7 +134,7 @@ class CmlNode:
             self.phase = O_TOWARD_P
             self.world.log_transition(self.node.id, R_PHASE, O_TOWARD_P,
                                       f"estimate={estimate}")
-            self._probe = {"silent": False}
+            self._probe_silent = False
             self._start_probe(last=False)
 
     # -- toward-p probing -------------------------------------------------------
@@ -157,26 +144,24 @@ class CmlNode:
 
     def _start_probe(self, last):
         self._probe_counter += 1
-        pid = self._probe_counter
-        st = self._probe
-        st["id"], st["heard"] = pid, False
+        pid = self._probe_id = self._probe_counter
+        self._probe_heard = False
         msg = pk.HcReqMsg(origin=self.node.id, probe_id=pid,
                           ttl=self._effective_nht())
         self._mark_hcreq((self.node.id, pid), msg.ttl, self.world.kernel.now)
         self.world.broadcast(self.node, pk.HCREQ, msg)
-        window = 4.0 * self.aodv.net_traversal_time()
-        st["window"] = self.world.kernel.schedule_in(
+        window = 4.0 * net_traversal_time(self.cfg)
+        self._o_timer = self.world.kernel.schedule_in(
             window, lambda: self._probe_window_closed(last),
             "timer", self.node.id, "hcreq-window")
 
     def _probe_window_closed(self, last):
-        st = self._probe
-        if st is None or self.phase != O_TOWARD_P:
+        if self.phase != O_TOWARD_P:
             return
-        st["silent"] = st["silent"] or not st["heard"]
+        self._probe_silent = self._probe_silent or not self._probe_heard
         if not last:
             self._start_probe(last=True)
-        elif st["silent"]:
+        elif self._probe_silent:
             self._shift(P_PHASE, "probe-silent")
         else:
             self._resume(R_PHASE, "probe-replies")
@@ -184,12 +169,8 @@ class CmlNode:
     # -- transitions ----------------------------------------------------------------
 
     def _cancel_o_state(self):
-        if self._o_deadline is not None:
-            self.world.kernel.cancel(self._o_deadline)
-            self._o_deadline = None
-        if self._probe is not None:
-            self.world.kernel.cancel(self._probe["window"])
-            self._probe = None
+        self.world.kernel.cancel(self._o_timer)
+        self._o_timer = self._probe_id = None
 
     def _resume(self, stable, trigger):
         frm = self.phase
@@ -287,9 +268,9 @@ class CmlNode:
         msg = frame.msg
         now = self.world.kernel.now
         key = (msg.origin, msg.probe_id)
-        entry = self._hcreq_seen.get(key)
-        first = entry is None or entry[1] <= now
-        if not first and msg.ttl <= entry[0]:
+        ttl_seen = self._hcreq_seen.live(key, now)
+        first = ttl_seen is None
+        if not first and msg.ttl <= ttl_seen:
             return  # same or weaker copy of an already-processed probe
         # relay jitter lets longer paths win the first-copy race; repeating
         # the relay when a strictly higher ttl arrives keeps the probe's
@@ -339,8 +320,7 @@ class CmlNode:
                                         now + self.cfg.t_osc)
         if msg.origin != self.node.id:
             fkey = (msg.origin, msg.probe_id)
-            entry = self._hcrep_forwarded.get(fkey)
-            forwarded = entry[0] if entry is not None and entry[1] > now else 0
+            forwarded = self._hcrep_forwarded.live(fkey, now) or 0
             if forwarded >= 3:
                 return
             self._hcrep_forwarded.put(fkey, forwarded + 1,
@@ -354,6 +334,5 @@ class CmlNode:
                               probe_id=parent_probe)
             self._send_hcrep(fwd)
             return
-        st = self._probe
-        if st is not None and st["id"] == msg.probe_id:
-            st["heard"] = True
+        if msg.probe_id == self._probe_id:
+            self._probe_heard = True

@@ -101,8 +101,8 @@ class DsrNode:
             return
         if msg.destination == self.node.id:
             route = msg.route_record + (self.node.id,)
-            reply = pk.DsrRrepMsg(origin=self.node.id, destination=msg.origin,
-                                  route=route, cursor=len(route) - 2)
+            reply = pk.DsrRrepMsg(destination=msg.origin, route=route,
+                                  cursor=len(route) - 2)
             self.world.unicast(self.node, route[-2], pk.DSR_RREP, reply)
             return
         relay = frame.clone_for_relay(
@@ -144,9 +144,8 @@ class DsrNode:
         route = frame.msg.source_route
         cursor = frame.msg.cursor - 1  # this node's place on the route
         if cursor > 0:
-            err = pk.DsrRerrMsg(origin=self.node.id, broken_from=self.node.id,
-                                broken_to=nxt, path_back=route[:cursor + 1],
-                                cursor=cursor - 1)
+            err = pk.DsrRerrMsg(broken_from=self.node.id, broken_to=nxt,
+                                path_back=route[:cursor + 1], cursor=cursor - 1)
             self.world.unicast(self.node, route[cursor - 1], pk.DSR_RERR, err)
 
     # -- data plane ---------------------------------------------------------------------

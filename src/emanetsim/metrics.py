@@ -5,17 +5,17 @@ import csv
 import os
 from collections import namedtuple
 
-# Per-run metrics: (CSV column, RunSummary attribute, format spec in
-# summary.csv, where "" writes a count as str() does). means.csv gives each
-# column's seed mean with 9 decimals.
+# Per-run metrics, in the order RunSummary takes their values: (CSV column,
+# RunSummary attribute, format spec in summary.csv, where "" writes a count
+# as str() does). means.csv gives each column's seed mean with 9 decimals.
 METRICS = (
-    ("avg_delay_s", "avg_delay", ".9f"),
-    ("avg_jitter_s", "avg_jitter", ".9f"),
+    ("avg_delay_s", "avg_delay", ".9f"),     # nan when nothing was delivered
+    ("avg_jitter_s", "avg_jitter", ".9f"),   # nan when no flow has >= 2 deliveries
     ("ctl_packets", "routing_load_packets", ""),
     ("ctl_bytes", "routing_load_bytes", ""),
     ("data_sent", "data_packets_sent", ""),
     ("data_delivered", "data_packets_delivered", ""),
-    ("goodput_ratio", "goodput_ratio", ".9f"),
+    ("goodput_ratio", "goodput_ratio", ".9f"),  # delivered data / control packets
     ("phase_shifts", "phase_shifts", ""),
 )
 
@@ -52,25 +52,16 @@ class ControlCounter:
 
 
 class RunSummary:
-    """One run's metrics. A plain class with a __dict__, so that a caller
-    may attach more data to a summary and have it pickled along."""
+    """One run's metrics, values one per METRICS row. A plain class with a
+    __dict__, so that a caller may attach more data and have it pickled."""
 
-    def __init__(self, protocol, security_mode, network_size, seed, avg_delay,
-                 avg_jitter, routing_load_packets, routing_load_bytes,
-                 data_packets_sent, data_packets_delivered, goodput_ratio,
-                 phase_shifts):
+    def __init__(self, protocol, security_mode, network_size, seed, *values):
         self.protocol = protocol
         self.security_mode = security_mode
         self.network_size = network_size
         self.seed = seed
-        self.avg_delay = avg_delay    # nan when nothing was delivered
-        self.avg_jitter = avg_jitter  # nan when no flow has >= 2 deliveries
-        self.routing_load_packets = routing_load_packets
-        self.routing_load_bytes = routing_load_bytes
-        self.data_packets_sent = data_packets_sent
-        self.data_packets_delivered = data_packets_delivered
-        self.goodput_ratio = goodput_ratio  # delivered data packets / control packets
-        self.phase_shifts = phase_shifts
+        for (_, attr, _), value in zip(METRICS, values, strict=True):
+            setattr(self, attr, value)
 
     def csv_row(self):
         return [self.protocol, self.security_mode, str(self.network_size),
@@ -165,20 +156,9 @@ class MetricLog:
         ctl_packets, ctl_bytes = self.control_totals()
         delivered = len(self.records)
         goodput = delivered / ctl_packets if ctl_packets else float("nan")
-        return RunSummary(
-            protocol=protocol,
-            security_mode=security_mode,
-            network_size=network_size,
-            seed=seed,
-            avg_delay=avg_delay,
-            avg_jitter=avg_jitter,
-            routing_load_packets=ctl_packets,
-            routing_load_bytes=ctl_bytes,
-            data_packets_sent=self.data_sent,
-            data_packets_delivered=delivered,
-            goodput_ratio=goodput,
-            phase_shifts=self.phase_shifts,
-        )
+        return RunSummary(protocol, security_mode, network_size, seed,
+                          avg_delay, avg_jitter, ctl_packets, ctl_bytes,
+                          self.data_sent, delivered, goodput, self.phase_shifts)
 
 
 def write_csv(path, header, rows, append=False):

@@ -63,15 +63,14 @@ class _QueuedTx:
 
 class Node:
     """Per-node runtime state: kinematics, radio bookkeeping, protocol driver."""
-    __slots__ = ("id", "kin", "streams", "mac", "active", "adversary", "driver",
-                 "queue", "tx_busy_until", "air_busy_until", "last_collision",
-                 "pump_scheduled", "pump_event")
+    __slots__ = ("id", "kin", "mob", "proto", "mac", "active", "adversary",
+                 "driver", "queue", "tx_busy_until", "air_busy_until",
+                 "last_collision", "pump_scheduled", "pump_event")
 
-    def __init__(self, node_id, kin, streams):
+    def __init__(self, node_id, kin, mob, proto, mac):
         self.id = node_id
         self.kin = kin
-        self.streams = streams
-        self.mac = streams["mac"]     # the backoff stream, read on every deferral
+        self.mob, self.proto, self.mac = mob, proto, mac  # the random streams
         self.active = True
         self.adversary = sec.ATTACK_NONE
         self.driver = None
@@ -97,19 +96,16 @@ class World:
         self.area = cfg.build_area()
         self.mobility = mob.MobilityModel(self.area, cfg.v_min, cfg.v_max, cfg.pause_max)
 
-        place = self.root_stream.fork("placement")
+        fork = self.root_stream.fork
+        place = fork("placement")
         self.nodes = []
         for i in range(cfg.n):
             x, y = mob.sample_point(place, self.area)
             kin = mob.NodeKinematics(x, y)
-            streams = {
-                "mob": self.root_stream.fork(f"node{i}/mob"),
-                "proto": self.root_stream.fork(f"node{i}/proto"),
-                "mac": self.root_stream.fork(f"node{i}/mac"),
-            }
-            node = Node(i, kin, streams)
+            node = Node(i, kin, fork(f"node{i}/mob"), fork(f"node{i}/proto"),
+                        fork(f"node{i}/mac"))
             node.pump_event = partial(self._pump, node, True)
-            self.mobility.init_node(kin, streams["mob"])
+            self.mobility.init_node(kin, node.mob)
             self.nodes.append(node)
 
         self._neighbors = {}
@@ -119,7 +115,7 @@ class World:
 
         # message size -> apply_security's cost triple in this run's mode
         self._crypto_costs = {}
-        self._authenticates = sec.authenticates(cfg.security_mode)
+        self._authenticates = cfg.security_mode in sec.AH_MODES
 
         self.flows = {}
         self._ready = False
@@ -145,7 +141,7 @@ class World:
         dt = self.cfg.mobility_tick
         now = self.kernel.now
         for n in self.nodes:
-            self.mobility.advance(n.kin, n.streams["mob"], now, dt)
+            self.mobility.advance(n.kin, n.mob, now, dt)
         self.refresh_links()
         self.kernel.schedule_in(dt, self._mobility_tick, "mobility-tick")
 
@@ -165,7 +161,7 @@ class World:
         if max_jitter is None:
             max_jitter = self.cfg.broadcast_jitter
         kernel = self.kernel
-        kernel.schedule(kernel.now + max_jitter * node.streams["proto"].random(),
+        kernel.schedule(kernel.now + max_jitter * node.proto.random(),
                         partial(self.relay, node, frame), "relay", node.id, detail)
 
     def _enqueue(self, node, frame):
@@ -318,7 +314,7 @@ class World:
         holds because no handler changes the kind, sender, sec_valid or
         adversary_origin of a frame it received."""
         nodes = self.nodes
-        if self._authenticates and not sec.accept_packet(frame, self.cfg.security_mode):
+        if self._authenticates and not sec.accept_packet(frame):
             self.metrics.rejected_packets += sum(nodes[v_id].active for v_id in v_ids)
             return
         data = frame.kind == pk.DATA
@@ -388,9 +384,8 @@ class World:
             if now >= epoch_end - 1e-9:
                 return  # epoch rolled over; the next epoch's tick chain owns traffic
         node = self.nodes[flow["src"]]
-        msg = pk.DataMsg(flow_id=flow_id, seq=flow["seq"], src=flow["src"],
-                         dst=flow["dst"], payload=cfg.traffic_payload,
-                         send_time=now)
+        msg = pk.DataMsg(flow_id=flow_id, seq=flow["seq"], dst=flow["dst"],
+                         payload=cfg.traffic_payload, send_time=now)
         flow["seq"] += 1
         self.metrics.note_data_sent(now)
         if node.active:

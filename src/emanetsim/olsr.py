@@ -158,7 +158,7 @@ class OlsrNode:
     # -- lifecycle ---------------------------------------------------------
 
     def boot(self):
-        stream = self.node.streams["proto"]
+        stream = self.node.proto
         hello_at = stream.uniform(0.0, self.cfg.hello_interval)
         tc_at = stream.uniform(0.0, self.cfg.tc_interval)
         self.world.kernel.schedule(hello_at, self._hello_timer,
@@ -182,16 +182,16 @@ class OlsrNode:
     def _hello_timer(self):
         if self.enabled and self.node.active:
             self.emit_hello()
-        stream = self.node.streams["proto"]
-        nxt = self.cfg.hello_interval - stream.uniform(0.0, 0.1 * self.cfg.hello_interval)
+        nxt = self.cfg.hello_interval - self.node.proto.uniform(
+            0.0, 0.1 * self.cfg.hello_interval)
         self.world.kernel.schedule_in(nxt, self._hello_timer,
                                       "timer", self.node.id, "hello")
 
     def _tc_timer(self):
         if self.enabled and self.node.active:
             self.emit_tc()
-        stream = self.node.streams["proto"]
-        nxt = self.cfg.tc_interval - stream.uniform(0.0, 0.1 * self.cfg.tc_interval)
+        nxt = self.cfg.tc_interval - self.node.proto.uniform(
+            0.0, 0.1 * self.cfg.tc_interval)
         self.world.kernel.schedule_in(nxt, self._tc_timer,
                                       "timer", self.node.id, "tc")
 

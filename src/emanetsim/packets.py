@@ -107,12 +107,11 @@ class DsrRreqMsg:
 
 
 class DsrRrepMsg:
-    __slots__ = ("origin", "destination", "route", "cursor")
+    __slots__ = ("destination", "route", "cursor")
 
-    def __init__(self, origin, destination, route, cursor):
-        self.origin = origin
-        self.destination = destination
-        self.route = route    # full path origin..destination
+    def __init__(self, destination, route, cursor):
+        self.destination = destination  # the requester, route[0]
+        self.route = route    # full path requester..replier
         self.cursor = cursor  # index of the node currently holding the reply
 
     def wire_size(self):
@@ -120,11 +119,10 @@ class DsrRrepMsg:
 
 
 class DsrRerrMsg:
-    __slots__ = ("origin", "broken_from", "broken_to", "path_back", "cursor")
+    __slots__ = ("broken_from", "broken_to", "path_back", "cursor")
 
-    def __init__(self, origin, broken_from, broken_to, path_back, cursor):
-        self.origin = origin
-        self.broken_from = broken_from
+    def __init__(self, broken_from, broken_to, path_back, cursor):
+        self.broken_from = broken_from  # the node that sends the error
         self.broken_to = broken_to
         self.path_back = path_back  # traversed prefix, walked in reverse
         self.cursor = cursor
@@ -173,14 +171,13 @@ class HcRepMsg:
 
 
 class DataMsg:
-    __slots__ = ("flow_id", "seq", "src", "dst", "payload", "send_time",
+    __slots__ = ("flow_id", "seq", "dst", "payload", "send_time",
                  "source_route", "cursor", "hops", "crypto_delay")
 
-    def __init__(self, flow_id, seq, src, dst, payload, send_time,
+    def __init__(self, flow_id, seq, dst, payload, send_time,
                  source_route=None, cursor=0, hops=0, crypto_delay=0.0):
-        self.flow_id = flow_id  # tuple
+        self.flow_id = flow_id  # (source node, epoch)
         self.seq = seq
-        self.src = src
         self.dst = dst
         self.payload = payload
         self.send_time = send_time

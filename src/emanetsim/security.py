@@ -85,15 +85,9 @@ def apply_security(payload_bytes, mode, c_p):
     return delta, sender, receiver
 
 
-def authenticates(mode):
-    """True when the mode carries an authentication gate (AH present)."""
-    return mode in AH_MODES
-
-
-def accept_packet(frame, mode):
-    """Authentication gate: under AH, forged or tampered packets are rejected."""
-    if mode not in AH_MODES:
-        return True
+def accept_packet(frame):
+    """Authentication gate, which a World applies only under AH_MODES:
+    forged or tampered packets are rejected."""
     return frame.sec_valid and not frame.adversary_origin
 
 

@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from emanetsim.aodv import net_traversal_time
 from emanetsim.cml import confirmed_shift
 from emanetsim.config import ScenarioConfig, parse_config
 from emanetsim.network import World
@@ -164,7 +165,7 @@ def test_tampered_probes_disrupt_unprotected_network():
         d0 = world.nodes[0].driver
         d0._on_rrep(2)
         assert d0.phase == "o-toward-p"
-        window = 4.0 * d0.aodv.net_traversal_time()
+        window = 4.0 * net_traversal_time(world.cfg)
         world.kernel.run_until(world.kernel.now + 2 * window + 2.0)
         return d0.phase
 

@@ -2,7 +2,8 @@ import pytest
 
 from conftest import bfs_distances, chain_positions, make_world, world_adjacency
 from emanetsim import packets as pk
-from emanetsim.aodv import PURGE_SLACK, estimate_size_from_hops
+from emanetsim.aodv import (PURGE_SLACK, ExpiringTable, estimate_size_from_hops,
+                            net_traversal_time)
 from emanetsim.config import ScenarioConfig
 from emanetsim.runner import static_connected_world
 
@@ -15,7 +16,7 @@ def aodv_world(positions=None, **kw):
 
 
 def send(world, src, dst, seq=0, t=None):
-    msg = pk.DataMsg(flow_id=(99, 0), seq=seq, src=src, dst=dst, payload=64,
+    msg = pk.DataMsg(flow_id=(99, 0), seq=seq, dst=dst, payload=64,
                      send_time=world.kernel.now if t is None else t)
     world.nodes[src].driver.send_data(msg)
     return msg
@@ -24,17 +25,14 @@ def send(world, src, dst, seq=0, t=None):
 # -- pure functions --------------------------------------------------------
 
 def test_net_traversal_time_convention():
-    world = aodv_world(chain_positions(2))
-    drv = world.nodes[0].driver
     # 2 * node_traversal_time * net_diameter with the standard constants
-    assert drv.net_traversal_time() == pytest.approx(2 * 0.04 * 35)
+    assert net_traversal_time(ScenarioConfig()) == pytest.approx(2 * 0.04 * 35)
 
 
 def test_net_traversal_time_scales():
-    w1 = aodv_world(chain_positions(2), net_diameter=1)
-    assert w1.nodes[0].driver.net_traversal_time() == pytest.approx(0.08)
-    w2 = aodv_world(chain_positions(2), node_traversal_time=0.08)
-    assert w2.nodes[0].driver.net_traversal_time() == pytest.approx(2 * 2 * 0.04 * 35)
+    assert net_traversal_time(ScenarioConfig(net_diameter=1)) == pytest.approx(0.08)
+    assert net_traversal_time(ScenarioConfig(node_traversal_time=0.08)) == \
+        pytest.approx(2 * 2 * 0.04 * 35)
 
 
 def test_estimate_size_from_hops():
@@ -131,6 +129,48 @@ def test_duplicate_table_purges_expired_requests():
         assert len(disc.seen) <= 2 * 5 + PURGE_SLACK
     assert (7, 0) not in disc.seen
     assert disc.first_copy(7, 0)
+
+
+def test_expiring_table_reads_expired_entry_as_absent():
+    table = ExpiringTable()
+    table.put("a", 3, 5.0, 0.0)
+    table.put("z", 0, 5.0, 0.0)
+    assert table.live("a", 4.9) == 3
+    assert table.live("z", 4.9) == 0  # a falsy value is still live
+    assert table.live("a", 5.0) is None
+    assert table.live("b", 0.0) is None
+
+
+def test_expiring_table_rebuild_bound():
+    # one entry a second, each live for 5 s: the table never holds more than
+    # twice its live count plus the slack, and the rebuild drops expired keys
+    table = ExpiringTable()
+    for t in range(1000):
+        table.put(t, t, t + 5.0, float(t))
+        assert len(table) <= 2 * 5 + PURGE_SLACK
+    assert 0 not in table
+    assert table.live(999, 999.0) == 999
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "dsr"])
+def test_late_rrep_after_resolve_flushes_nothing(protocol):
+    # a second reply reaches the source after the first one ended the
+    # discovery: resolve hands back nothing, and nothing is sent or dropped
+    world = aodv_world(chain_positions(3), protocol=protocol)
+    send(world, 0, 2)
+    world.kernel.run_until(3.0)
+    assert len(world.metrics.records) == 1
+    src = world.nodes[0].driver
+    assert not src.discovery.pending
+    sent = []
+    world.unicast = lambda node, rcv, kind, msg: sent.append(kind)
+    if protocol == "aodv":
+        src.process_rrep(pk.Frame(kind=pk.RREP, sender=1, msg=pk.RrepMsg(
+            origin=0, destination=2, dest_sequence=9, hop_count=1)), 1)
+    else:
+        src.process_rrep(pk.DsrRrepMsg(destination=0, route=(0, 1, 2), cursor=0))
+    assert sent == []
+    assert world.metrics.data_dropped == 0
 
 
 def test_rreq_hop_count_increments_per_relay():
@@ -235,7 +275,7 @@ def test_discovery_hop_counts_match_bfs_oracle():
         dist = bfs_distances(adj, 0)
         targets = sorted(dist)[1:]
         for i, dst in enumerate(targets):
-            msg = pk.DataMsg(flow_id=(i, 0), seq=0, src=0, dst=dst, payload=32,
+            msg = pk.DataMsg(flow_id=(i, 0), seq=0, dst=dst, payload=32,
                              send_time=world.kernel.now)
             world.nodes[0].driver.send_data(msg)
             world.kernel.run_until(world.kernel.now + 3.0)

@@ -83,7 +83,7 @@ def test_receiver_inactive_at_rx_gets_nothing(ideal):
 @pytest.mark.parametrize("ideal", [True, False])
 def test_data_to_a_receiver_inactive_at_rx_is_dropped(ideal):
     world, lines, received = star_world(ideal)
-    msg = pk.DataMsg(flow_id=(0, 2), seq=0, src=0, dst=2, payload=32,
+    msg = pk.DataMsg(flow_id=(0, 2), seq=0, dst=2, payload=32,
                      send_time=world.kernel.now)
     world.unicast(world.nodes[0], 2, pk.DATA, msg)
     run_until_rx_pending(world.kernel)
@@ -119,7 +119,7 @@ def test_data_is_delivered_once_along_a_chain(protocol, phase):
     if phase == R_PHASE:
         force_r_phase(world)
     world.kernel.run_until(20.0)
-    msg = pk.DataMsg(flow_id=(0, 0), seq=0, src=0, dst=3, payload=64,
+    msg = pk.DataMsg(flow_id=(0, 0), seq=0, dst=3, payload=64,
                      send_time=world.kernel.now)
     world.nodes[0].driver.send_data(msg)
     world.kernel.run_until(21.0)

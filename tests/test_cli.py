@@ -30,11 +30,16 @@ def test_bad_config_reports_key(tmp_path, capsys):
     assert "nodes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb,sizes", [("sweep", "5,x"), ("calibrate-k", "5:a")])
-def test_bad_sizes_reports_key(tmp_path, capsys, verb, sizes):
-    rc = main([verb, "--sizes", sizes, "--out", str(tmp_path)])
+@pytest.mark.parametrize("verb,flag,value", [
+    ("sweep", "--sizes", "5,x"), ("calibrate-k", "--sizes", "5:a"),
+    ("sweep", "--seeds", "0"), ("calibrate-k", "--seeds", "0")],
+    ids=["sweep-5,x", "calibrate-k-5:a", "sweep-seeds-0", "calibrate-k-seeds-0"])
+def test_bad_sizes_reports_key(tmp_path, capsys, verb, flag, value):
+    out = tmp_path / "out"
+    rc = main([verb, flag, value, "--out", str(out)])
     assert rc == 2
-    assert "configuration error: sizes:" in capsys.readouterr().err
+    assert f"configuration error: {flag[2:]}:" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any run or CSV
 
 
 def test_sweep_verb(tmp_path, capsys):

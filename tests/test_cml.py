@@ -2,7 +2,7 @@ import pytest
 
 from conftest import chain_positions, force_r_phase, make_world
 from emanetsim import packets as pk
-from emanetsim.aodv import PURGE_SLACK, Discovery
+from emanetsim.aodv import PURGE_SLACK, Discovery, net_traversal_time
 from emanetsim.cml import (O_TOWARD_P, O_TOWARD_R, P_PHASE, R_PHASE, CmlNode,
                            confirmed_shift, derive_nht)
 from emanetsim.config import ScenarioConfig
@@ -137,7 +137,7 @@ def test_check_r_blocked_by_timer():
 # -- toward-p probing ----------------------------------------------------------------
 
 def run_probe_cycle(world, d):
-    window = 4.0 * d.aodv.net_traversal_time()
+    window = 4.0 * net_traversal_time(world.cfg)
     world.kernel.run_until(world.kernel.now + 2 * window + 2.0)
 
 
@@ -171,8 +171,7 @@ def test_reply_in_one_window_only_confirms():
     force_r_phase(world)
     d = drv(world, 0)
     d._on_rrep(2)
-    st = d._probe
-    st["heard"] = True  # pretend window 1 heard a reply; window 2 stays silent
+    d._probe_heard = True  # pretend window 1 heard a reply; window 2 stays silent
     run_probe_cycle(world, d)
     assert d.phase == P_PHASE
 
@@ -275,8 +274,7 @@ def test_late_reply_has_no_effect():
     force_r_phase(world)
     d = drv(world, 0)
     d._on_rrep(2)
-    st = d._probe
-    pid = st["id"]
+    pid = d._probe_id
     run_probe_cycle(world, d)
     assert d.phase == P_PHASE
     # a reply arriving after the windows closed changes nothing
@@ -287,20 +285,20 @@ def test_late_reply_has_no_effect():
 
 
 def watch_purges(monkeypatch, watched):
-    """Wrap each (cls, method, attr, expiry) of watched so that after every
-    call the table self.<attr> holds at most twice the most entries it ever
-    held live, plus the purge slack; expiry(entry) is an entry's expiry time.
-    Returns the set of attrs seen to shrink within a call."""
+    """Wrap each (cls, method, attr) of watched so that after every call the
+    ExpiringTable self.<attr> holds at most twice the most entries it ever
+    held live, plus the purge slack. Returns the set of attrs seen to shrink
+    within a call."""
     peak, purged = {}, set()
 
-    def watch(cls, method, attr, expiry):
+    def watch(cls, method, attr):
         orig = getattr(cls, method)
 
         def wrapped(self, *args):
             before = len(getattr(self, attr))
             result = orig(self, *args)
             table, now = getattr(self, attr), self.world.kernel.now
-            live = sum(1 for e in table.values() if expiry(e) > now)
+            live = sum(1 for e in table.values() if e[1] > now)
             key = (attr, id(self))
             peak[key] = max(peak.get(key, 0), live)
             assert len(table) <= 2 * peak[key] + PURGE_SLACK
@@ -319,8 +317,8 @@ def test_duplicate_tables_stay_bounded_over_long_run(monkeypatch):
     # A 5 s seen_lifetime makes the 300 s run sixty lifetimes long: unpurged,
     # expired entries pile up past the bound.
     purged = watch_purges(monkeypatch, [
-        (Discovery, "first_copy", "seen", lambda until: until),
-        (CmlNode, "_mark_hcreq", "_hcreq_seen", lambda entry: entry[1])])
+        (Discovery, "first_copy", "seen"),
+        (CmlNode, "_mark_hcreq", "_hcreq_seen")])
     cfg = ScenarioConfig(protocol="cml", n=20, seed=1, duration=300.0,
                          warmup=0.0, seen_lifetime=5.0).validate()
     World(cfg).run()
@@ -333,8 +331,8 @@ def test_echo_and_reply_tables_stay_bounded_over_long_run(monkeypatch):
     # 1 s oscillation timer makes nodes probe often enough for both tables
     # to outgrow the purge slack within the run.
     purged = watch_purges(monkeypatch, [
-        (CmlNode, "process_hcreq", "_echoes", lambda entry: entry[1]),
-        (CmlNode, "process_hcrep", "_hcrep_forwarded", lambda entry: entry[1])])
+        (CmlNode, "process_hcreq", "_echoes"),
+        (CmlNode, "process_hcrep", "_hcrep_forwarded")])
     cfg = ScenarioConfig(protocol="cml", n=20, seed=1, duration=300.0,
                          warmup=0.0, seen_lifetime=5.0, t_osc=1.0).validate()
     World(cfg).run()
@@ -411,7 +409,7 @@ def test_confirmed_shifts_rate_limited():
 def test_data_routed_by_olsr_in_p_phase():
     world = cml_world(chain_positions(3))
     world.kernel.run_until(20.0)
-    msg = pk.DataMsg(flow_id=(1, 0), seq=0, src=0, dst=2, payload=64,
+    msg = pk.DataMsg(flow_id=(1, 0), seq=0, dst=2, payload=64,
                      send_time=world.kernel.now)
     drv(world, 0).send_data(msg)
     world.kernel.run_until(world.kernel.now + 2.0)
@@ -424,7 +422,7 @@ def test_o_phase_keeps_stable_engine_forwarding():
     world.kernel.run_until(20.0)
     d0 = drv(world, 0)
     d0.phase = O_TOWARD_R  # testing a departure from p: still proactive routing
-    msg = pk.DataMsg(flow_id=(1, 0), seq=0, src=0, dst=2, payload=64,
+    msg = pk.DataMsg(flow_id=(1, 0), seq=0, dst=2, payload=64,
                      send_time=world.kernel.now)
     d0.send_data(msg)
     world.kernel.run_until(world.kernel.now + 2.0)
@@ -435,7 +433,7 @@ def test_o_phase_keeps_stable_engine_forwarding():
 def test_r_phase_without_route_triggers_discovery():
     world = cml_world(chain_positions(3))
     force_r_phase(world)
-    msg = pk.DataMsg(flow_id=(1, 0), seq=0, src=0, dst=2, payload=64,
+    msg = pk.DataMsg(flow_id=(1, 0), seq=0, dst=2, payload=64,
                      send_time=world.kernel.now)
     drv(world, 0).send_data(msg)
     world.kernel.run_until(world.kernel.now + 3.0)

@@ -14,7 +14,7 @@ def dsr_world(positions=None, **kw):
 
 
 def send(world, src, dst, seq=0, flow=99):
-    msg = pk.DataMsg(flow_id=(flow, 0), seq=seq, src=src, dst=dst, payload=64,
+    msg = pk.DataMsg(flow_id=(flow, 0), seq=seq, dst=dst, payload=64,
                      send_time=world.kernel.now)
     world.nodes[src].driver.send_data(msg)
     return msg
@@ -141,7 +141,7 @@ def test_mac_failure_sends_route_error_to_source(monkeypatch):
     world.kernel.run_until(3.0)
     assert failures == [(2, pk.DATA, "mac-retry-limit")]
     assert world.metrics.drops_by_reason == {"mac-retry-limit": 1}
-    assert [(e.origin, e.broken_from, e.broken_to) for e in errors] == [(2, 2, 3)]
+    assert [(e.broken_from, e.broken_to) for e in errors] == [(2, 3)]
     links = {link for paths in src.cache.values() for path, _ in paths
              for link in zip(path, path[1:])}
     assert (2, 3) not in links and (3, 2) not in links

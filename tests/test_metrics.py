@@ -4,8 +4,8 @@ import pytest
 
 from emanetsim.config import ScenarioConfig
 from emanetsim.kernel import RandomStream
-from emanetsim.metrics import (CSV_HEADER, MetricLog, _jitter, cumulative_rows,
-                               write_summary_csv)
+from emanetsim.metrics import (CSV_HEADER, METRICS, MetricLog, RunSummary, _jitter,
+                               cumulative_rows, write_summary_csv)
 from emanetsim.network import World
 
 
@@ -206,3 +206,12 @@ def test_summarize_jitter_handbuilt_interleaving():
                     (("c", 0), 0, 0.0, 0.500), (("a", 0), 1, 1.0, 1.020)])
     # a: |20-10|, |30-20| -> 10 ms; b: |50-10| -> 40 ms; c has one delivery
     assert log.summarize("olsr", "none", 3, 1).avg_jitter == pytest.approx(0.025)
+
+
+def test_run_summary_takes_one_value_per_metric():
+    values = [0.5, 0.1, 10, 800, 20, 19, 1.9, 2]
+    summary = RunSummary("olsr", "none", 5, 1, *values)
+    assert [getattr(summary, attr) for _, attr, _ in METRICS] == values
+    for wrong in (values[:-1], values + [3]):
+        with pytest.raises(ValueError):
+            RunSummary("olsr", "none", 5, 1, *wrong)

@@ -1,3 +1,4 @@
+import json
 import os
 import pickle
 import subprocess
@@ -204,3 +205,18 @@ def test_run_summary_pickles_with_extra_attributes():
     back = pickle.loads(pickle.dumps(summary))
     assert back.csv_row() == summary.csv_row()
     assert back.extra == {"calls": 3}
+
+
+def test_perfbench_traced_round_passes(tmp_path):
+    # The benchmark's traced rounds wrap simulator functions by name
+    # (World methods, security.accept_packet, MetricLog.summarize, each
+    # driver's on_frame/send_data, ...). One traced round must still run
+    # every cell and pass every output check.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "one_round.py"),
+         "--workload", "isolation-modes", "--seed", "1", "--trace", "1",
+         "--out", str(tmp_path)], check=True, capture_output=True, text=True).stdout
+    result = json.loads(out.splitlines()[-1])
+    assert result["failed"] == 0
+    assert result["violations"] == []

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from conftest import chain_positions, make_world
 from emanetsim import acceptance as ac
+from emanetsim import packets as pk
 from emanetsim import security as sec
 from emanetsim.config import ScenarioConfig
 from emanetsim.network import World
@@ -84,16 +86,27 @@ class _FakeFrame:
 
 
 def test_gate_rejects_forged_and_tampered_under_ah():
-    for mode in ("ah-only", "hybrid"):
-        assert sec.accept_packet(_FakeFrame(), mode)
-        assert not sec.accept_packet(_FakeFrame(adv=True), mode)
-        assert not sec.accept_packet(_FakeFrame(valid=False), mode)
+    assert sec.accept_packet(_FakeFrame())
+    assert not sec.accept_packet(_FakeFrame(adv=True))
+    assert not sec.accept_packet(_FakeFrame(valid=False))
 
 
-def test_gate_open_without_authentication():
-    for mode in ("none", "esp-only"):
-        assert sec.accept_packet(_FakeFrame(adv=True), mode)
-        assert sec.accept_packet(_FakeFrame(valid=False), mode)
+@pytest.mark.parametrize("mode", sec.SECURITY_MODES)
+def test_gate_open_without_authentication(mode):
+    # a World applies the gate only in the modes with AH: elsewhere forged
+    # and tampered frames reach the receiver's driver
+    world = make_world(chain_positions(2), security_mode=mode)
+    world.setup()
+    heard = []
+    world.nodes[1].driver.on_frame = lambda frame, prev_hop: heard.append(frame)
+    frames = [pk.Frame(pk.CP, None, 0, None, True, True),
+              pk.Frame(pk.CP, None, 0, None, False, False)]
+    for frame in frames:
+        world._receive([1], frame, 0.0)
+    gated = mode in sec.AH_MODES
+    assert world._authenticates == gated
+    assert heard == ([] if gated else frames)
+    assert world.metrics.rejected_packets == (2 if gated else 0)
 
 
 @pytest.mark.parametrize("mode", sec.SECURITY_MODES)
